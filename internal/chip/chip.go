@@ -83,11 +83,24 @@ type Chip struct {
 	// commit touches the datapath topology (connections, LUT contents).
 	// While false, a commit only moves unit parameters — gains, DAC
 	// levels, initial conditions — and is applied to the live datapath in
-	// place instead of rebuilding netlist and simulator. rebuilds counts
-	// the full rebuilds actually performed.
-	topoDirty bool
-	rebuilds  int
+	// place instead of rebuilding netlist and simulator. builtConns and
+	// builtTables record what the live datapath was built from, so a
+	// commit whose staged topology turns out identical (a new operator
+	// with the same sparsity) still takes the in-place path. rebuilds
+	// counts the full rebuilds actually performed.
+	topoDirty   bool
+	builtConns  []conn
+	builtTables [][]float64
+	rebuilds    int
+
+	// expBits is readExp's reusable exception-vector scratch.
+	expBits []bool
 }
+
+// zeroTable is the contents of every unprogrammed LUT: it outputs 0.
+// Netlists keep LUT tables by reference and never write them, so every
+// chip shares this one.
+var zeroTable = make([]float64, 256)
 
 type conn struct{ src, dst uint16 }
 
@@ -294,27 +307,41 @@ func (c *Chip) setLanes(n int) isa.Status {
 		return isa.StatusExceeded
 	}
 	c.lanes = n
-	c.laneGains = nil
-	c.laneICs = nil
-	c.laneLevels = nil
+	c.clearLaneRegs()
 	c.state = stateUnconfigured
 	return isa.StatusOK
 }
 
-// laneReg returns lane's override slice in store, allocating it filled
-// with the NaN inherit-sentinel on first touch.
+// laneReg returns lane's override slice in store, extending store to
+// cover it. Lanes that come into range are filled with the NaN
+// inherit-sentinel, recycling the arrays a cleared store (truncated to
+// length zero by setLanes or cfgReset) left in its capacity.
 func laneReg(store *[][]float64, lane, n int) []float64 {
 	for len(*store) <= lane {
-		*store = append(*store, nil)
-	}
-	if (*store)[lane] == nil {
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = math.NaN()
+		i := len(*store)
+		if i < cap(*store) {
+			*store = (*store)[:i+1]
+		} else {
+			*store = append(*store, nil)
 		}
-		(*store)[lane] = s
+		r := (*store)[i]
+		if len(r) != n {
+			r = make([]float64, n)
+			(*store)[i] = r
+		}
+		for j := range r {
+			r[j] = math.NaN()
+		}
 	}
 	return (*store)[lane]
+}
+
+// clearLaneRegs drops every per-lane override, keeping the arrays for
+// laneReg to recycle.
+func (c *Chip) clearLaneRegs() {
+	c.laneGains = c.laneGains[:0]
+	c.laneICs = c.laneICs[:0]
+	c.laneLevels = c.laneLevels[:0]
 }
 
 func (c *Chip) setIntInitialLane(lane, idx int, v float64) isa.Status {
@@ -383,31 +410,59 @@ func (c *Chip) cfgReset() isa.Status {
 	}
 	c.timeout = 0
 	c.lanes = 0
-	c.laneGains = nil
-	c.laneICs = nil
-	c.laneLevels = nil
+	c.clearLaneRegs()
 	c.state = stateUnconfigured
 	c.topoDirty = true
 	return isa.StatusOK
 }
 
 // commit validates the staged configuration and applies it to the
-// datapath. When the staged changes since the last successful commit touch
-// only unit parameters (multiplier gains, DAC levels, integrator initial
+// datapath. When the staged configuration differs from the live one only
+// in unit parameters (multiplier gains, DAC levels, integrator initial
 // conditions) the live datapath is updated in place: the netlist topology
-// and the compiled op stream survive. That makes re-biasing a resident
+// and the lowered op stream survive. That makes re-biasing a resident
 // system — rewriting the RHS between refinement passes or decomposition
 // sweeps — O(parameters) instead of O(inventory), which is what lets a
-// pinned session amortize one matrix configuration over many solves.
+// pinned session amortize one matrix configuration over many solves. It
+// also covers a full reprogramming that lands on the same topology (a
+// new matrix with the old sparsity), unless the spec draws noise: a
+// rebuild reseeds the noise stream, and reuse must not change answers.
 func (c *Chip) commit() isa.Status {
-	if c.nl != nil && !c.topoDirty {
+	if c.nl != nil && (!c.topoDirty || c.sameTopology()) {
 		return c.commitParams()
 	}
 	return c.rebuild()
 }
 
-// commitParams is the parameter-only commit fast path: copy the staged
-// gains, levels and initial conditions onto the live blocks, refresh the
+// sameTopology reports whether the staged connections, in order, and LUT
+// contents equal those the live datapath was built from, on a noise-free
+// chip. Equal connection lists allocate the same nets in the same order,
+// so the live netlist is exactly the one a rebuild would construct.
+func (c *Chip) sameTopology() bool {
+	if c.spec.NoiseSigma != 0 || len(c.conns) != len(c.builtConns) {
+		return false
+	}
+	for i, cn := range c.conns {
+		if cn != c.builtConns[i] {
+			return false
+		}
+	}
+	for l, tab := range c.tables {
+		built := c.builtTables[l]
+		if (tab == nil) != (built == nil) || len(tab) != len(built) {
+			return false
+		}
+		for i, v := range tab {
+			if v != built[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// commitParams is the in-place commit: copy the staged gains, levels,
+// initial conditions and input enables onto the live blocks, refresh the
 // integration step (it depends on the gain magnitudes), and reset the
 // simulator so folded constants, integrator states and exception latches
 // reflect the new configuration — exactly the observable state a full
@@ -422,12 +477,19 @@ func (c *Chip) commitParams() isa.Status {
 	for i, blk := range c.blocks[ClassIntegrator] {
 		blk.IC = c.ics[i]
 	}
+	for ch, blk := range c.blocks[ClassInput] {
+		blk.Stimulus = nil
+		if c.inputEn[ch] {
+			blk.Stimulus = c.stimuli[ch]
+		}
+	}
 	c.sim.ReloadStep()
 	if st := c.applyLanes(); st != isa.StatusOK {
 		return st
 	}
 	c.sim.Reset()
 	c.state = stateReady
+	c.topoDirty = false
 	return isa.StatusOK
 }
 
@@ -559,7 +621,7 @@ func (c *Chip) rebuild() isa.Status {
 	for l := 0; l < c.counts.LUTs; l++ {
 		table := c.tables[l]
 		if table == nil {
-			table = make([]float64, 256) // unprogrammed: outputs 0
+			table = zeroTable
 		}
 		b := nl.AddLUTTable(netForInput(c.pm.LUTIn(l)), netForOutput(c.pm.LUTOut(l)), table)
 		blocks[ClassLUT] = append(blocks[ClassLUT], b)
@@ -595,6 +657,10 @@ func (c *Chip) rebuild() isa.Status {
 		sim.SetWorkers(c.spec.SimWorkers)
 	}
 	c.nl, c.sim, c.blocks = nl, sim, blocks
+	c.builtConns = append(c.builtConns[:0], c.conns...)
+	// setFunction stores a fresh slice per call and cfgReset drops them,
+	// so the staged tables are never written in place: keep references.
+	c.builtTables = append(c.builtTables[:0], c.tables...)
 	if st := c.applyLanes(); st != isa.StatusOK {
 		// Leave topoDirty set: the next commit retries the full rebuild.
 		return st
@@ -747,12 +813,13 @@ func (c *Chip) readExp() ([]byte, isa.Status) {
 	if c.sim.Lanes() > 0 {
 		return c.readExpLane(0)
 	}
-	bits := make([]bool, 0, c.NumUnits())
+	bits := c.expBits[:0]
 	for _, cl := range unitOrder() {
 		for _, b := range c.blocks[cl] {
 			bits = append(bits, b.Overflowed)
 		}
 	}
+	c.expBits = bits
 	return isa.PackBits(bits), isa.StatusOK
 }
 
@@ -763,12 +830,13 @@ func (c *Chip) readExpLane(lane int) ([]byte, isa.Status) {
 	if lane < 0 || lane >= c.sim.Lanes() {
 		return nil, isa.StatusNoUnit
 	}
-	bits := make([]bool, 0, c.NumUnits())
+	bits := c.expBits[:0]
 	for _, cl := range unitOrder() {
 		for _, b := range c.blocks[cl] {
 			bits = append(bits, c.sim.LaneOverflowed(b, lane))
 		}
 	}
+	c.expBits = bits
 	return isa.PackBits(bits), isa.StatusOK
 }
 

@@ -613,3 +613,49 @@ func TestAlgebraicLoopRejectedAtCommit(t *testing.T) {
 		t.Fatalf("algebraic loop commit: %v", err)
 	}
 }
+
+// TestParamCommitLaneWaveAllocs guards the warm lane-wave path: on a
+// programmed chip, restaging the lanes with per-lane biases, the
+// parameter-only commit and the run must not allocate (the integration
+// step's gain sums, the per-lane register arrays and the lane buffers are
+// all recycled), and an exception-vector read allocates only its packed
+// reply.
+func TestParamCommitLaneWaveAllocs(t *testing.T) {
+	h, c := hostFor(t, PrototypeSpec())
+	wireSLE2(t, h, c.Ports(), [2][2]float64{{0.8, 0.2}, {0.2, 0.6}}, [2]float64{0.5, 0.3})
+	exec := func(op isa.Opcode, payload []byte) {
+		if _, st := c.Execute(op, payload); st != isa.StatusOK {
+			t.Fatalf("opcode %v: status %v", op, st)
+		}
+	}
+	const B = 3
+	setLanes := isa.PutU16(nil, B)
+	var dacs, lanes [][]byte
+	for l := 0; l < B; l++ {
+		lanes = append(lanes, isa.PutU16(nil, uint16(l)))
+		for d := 0; d < 2; d++ {
+			p := isa.PutU16(isa.PutU16(nil, uint16(l)), uint16(d))
+			dacs = append(dacs, isa.PutF64(p, 0.1*float64(l+d)))
+		}
+	}
+	exec(isa.OpSetTimeout, isa.PutU32(nil, 2000))
+	wave := func() {
+		exec(isa.OpSetLanes, setLanes)
+		for _, p := range dacs {
+			exec(isa.OpSetDacConstLane, p)
+		}
+		exec(isa.OpCfgCommit, nil)
+		exec(isa.OpExecStart, nil)
+	}
+	wave() // the first lane commit sizes every buffer
+	rebuilds := c.Rebuilds()
+	if n := testing.AllocsPerRun(20, wave); n != 0 {
+		t.Fatalf("parameter commit + lane wave allocates %v per run, want 0", n)
+	}
+	if c.Rebuilds() != rebuilds {
+		t.Fatalf("lane waves rebuilt the datapath: %d → %d", rebuilds, c.Rebuilds())
+	}
+	if n := testing.AllocsPerRun(20, func() { exec(isa.OpReadExpLane, lanes[B-1]) }); n != 1 {
+		t.Fatalf("readExpLane allocates %v per call, want 1 (the reply)", n)
+	}
+}

@@ -356,12 +356,15 @@ func (nl *Netlist) AddLUT(in, out Net, fn func(float64) float64) *Block {
 // AddLUTTable places a lookup table with explicit contents: table holds the
 // output sample for each of len(table) equally spaced inputs over
 // ±FullScale. The chip layer uses this form, since the ISA ships sampled
-// tables over the wire rather than function pointers.
+// tables over the wire rather than function pointers. The block keeps the
+// caller's slice, so a table is read-only once added: nothing in this
+// package writes Block.Table, and callers may share one table between
+// blocks (the chip passes one zero table for every unprogrammed LUT).
 func (nl *Netlist) AddLUTTable(in, out Net, table []float64) *Block {
 	if len(table) == 0 {
 		panic("circuit: empty LUT table")
 	}
-	return nl.add(&Block{Kind: KindLUT, in: []Net{in}, out: []Net{out}, Table: append([]float64(nil), table...)})
+	return nl.add(&Block{Kind: KindLUT, in: []Net{in}, out: []Net{out}, Table: table})
 }
 
 // AddInput places an external analog input channel driving `out` with the

@@ -6,20 +6,20 @@ import (
 	"sync"
 )
 
-// Fused step kernel. The compiled engine (compiled.go) removed the block
-// interpreter's pointer-chasing but kept three per-eval costs on the RK4
-// trial path: an opcode dispatch on every op, a full netVals clear before
-// every evaluation — four times per step — and five bounds-checked
-// parallel-array loads per op. The fused engine removes all three:
+// Fused step kernel. The fused engine executes the lowered program
+// (program.go) without the per-op costs of walking it directly: an opcode
+// dispatch on every op, a full netVals clear before every evaluation, and
+// five bounds-checked parallel-array loads per op.
 //
-//   - At lower time the fast ops are re-materialised into a compact
-//     24-byte struct-of-ops stream in execution order, segmented into
+//   - At lower time the driving ops are re-materialised into compact
+//     24-byte struct-of-ops streams in execution order, segmented into
 //     homogeneous runs. Each run executes as a tight loop specialised for
 //     its opcode: no switch, no blk pointer loads (except opInput, which
 //     must read Stimulus live), and no per-op bounds checks on op data —
 //     the loops range over exact subslices. Cold fields (the op's stream
-//     index for fold re-sync, the second input net of a varmul) live in
-//     side arrays so the hot loops never pull them through the cache.
+//     index for fold re-sync, the second input net of a varmul, the
+//     owning block's ID) live in side arrays so the hot loops never pull
+//     them through the cache.
 //   - Execution order is phase-major: nets are assigned topological
 //     levels (a net's level is the max level of its driver ops; a
 //     combinational op sits one past its deepest input net) and every
@@ -34,29 +34,32 @@ import (
 //     interpreter. Undriven nets are never written by any engine after
 //     Reset, so skipping them is safe.
 //
-// For large programs the kernel instead runs level-parallel: each
+// Simulate only what the integrators see. The three RK4 trial stages of a
+// step feed nothing but the integrator derivatives, so they run only the
+// program's trial-live region (the serial stream, or its level-parallel
+// twin): on a chip most units are unconnected, and their ops never reach
+// an integrator. The once-per-step record pass — and Reset's — walks the
+// live stream, then the record-only stream, then the silent ops, with the
+// peak/overflow latches folded into every loop (runSegsRecord, and
+// runSegsLanesRecord for the lane kernel). Record-only ops read live nets
+// that the same pass has just completed, so every net value, ADC code,
+// peak and latch matches an evaluation of the whole program.
+//
+// For large programs the trial kernel instead runs level-parallel: each
 // level's nets are sharded across a bounded worker set, and each
 // worker's share is materialised as its own store/add segment run, so
 // workers execute the very same branch-free loops as the serial kernel.
 // Chunks cover disjoint net sets — workers write disjoint netVals
 // entries — and every net's sum still accumulates left-to-right in the
-// same fixed order as the serial engines, so results are bit-identical
+// same fixed order as the serial kernel, so results are bit-identical
 // for any worker count. Cross-level reads are safe because an op in
-// phase L only reads nets that completed in phases < L.
-//
-// Scalar record-mode evaluations (one per step, plus Reset) still run
-// evalRecord: peak/overflow latching walks every op anyway, and fusing a
-// single lane saves nothing. The lane kernel is different: its record
-// pass (evalLanesRecord) runs the same fused segment walk as the trial
-// stages with the per-lane latches folded into each loop, because there
-// the per-op dispatch is amortised across B lanes — silent ops, which
-// the streams exclude, are latched by a short interpreted tail that only
-// reads completed nets.
+// phase L only reads nets that completed in phases < L. The record pass
+// runs once per step and is always serial.
 
-// fusedParallelMinOps is the fast-op count above which the fused engine
-// shards levels across workers. Below it the per-level synchronisation
-// costs more than the arithmetic it hides. Overridable per simulator in
-// tests (Simulator.fusedMinOps).
+// fusedParallelMinOps is the trial-live op count above which the fused
+// engine shards levels across workers. Below it the per-level
+// synchronisation costs more than the arithmetic it hides. Overridable
+// per simulator in tests (Simulator.fusedMinOps).
 const fusedParallelMinOps = 8192
 
 // fusedChunkMinOps is the minimum op count a parallel chunk must carry:
@@ -66,11 +69,12 @@ const fusedParallelMinOps = 8192
 // tests (Simulator.chunkMinOps).
 const fusedChunkMinOps = 1024
 
-// fusedOp is one materialised fast op: 24 bytes, only the fields the hot
-// loops touch. Meaning varies by segment opcode: for opConst, gain holds
-// the pre-saturated constant and in0 is unused; opState/opInput need no
-// folded constants. The op's index in the program's stream arrays and a
-// varmul's second input net live in the stream's side arrays.
+// fusedOp is one materialised driving op: 24 bytes, only the fields the
+// hot loops touch. Meaning varies by segment opcode: for opConst, gain
+// holds the saturated constant and off its raw (pre-saturation) value,
+// which only the record pass reads, and in0 is unused; opState/opInput
+// need no folded constants. The op's index in the program's stream arrays
+// and a varmul's second input net live in the stream's side arrays.
 type fusedOp struct {
 	in0, out  int32
 	gain, off float64
@@ -84,18 +88,28 @@ type fusedSeg struct {
 	start, end int32
 }
 
-// fusedStream is one materialised execution stream: the serial kernel
-// has one covering the whole fast region; the parallel kernel has one
-// laid out per (level, worker chunk). aux[i] is op i's index in the
-// program's stream arrays (read during fold re-sync, and by LUT/input
-// loops to reach tables and stimulus blocks); in1[i] is the second input
-// net (read by varmul loops only); ids[i] is the owning block's ID (read
-// by the lane record pass to address the per-lane latch slots).
+// fusedStream is one materialised execution stream. aux[i] is op i's
+// index in the program's stream arrays (read during fold re-sync, and by
+// LUT/input loops to reach tables and stimulus blocks); in1[i] is the
+// second input net (read by varmul loops only); ids[i] is the owning
+// block's ID (read by the record passes to address the latches).
+//
+// The lane fields are the stream's per-lane folded constants, aligned
+// with its op positions ([pos*B+lane]) and re-synced by syncLanes:
+// laneG is op pos's lane-l folded gain (the saturated constant for
+// opConst); laneUni marks ops whose B gains are equal — all of them, in
+// a batch that diverges only the right-hand sides — so the hot loops
+// read one gain instead of streaming B copies; laneCraw carries the
+// per-lane opConst raw values, which only the record pass reads.
 type fusedStream struct {
 	ops      []fusedOp
 	aux, in1 []int32
 	ids      []int32
 	segs     []fusedSeg
+
+	laneG    []float64
+	laneUni  []bool
+	laneCraw []float64
 }
 
 // emit appends op i, merging it into the last segment when that segment
@@ -118,6 +132,35 @@ func (st *fusedStream) emit(p *program, i int32, store bool, minSeg int) {
 	st.ids = append(st.ids, int32(p.blk[i].ID))
 }
 
+// emitPhaseMajor materialises program ops [lo,hi) phase-major: a driver
+// executes in its net's phase (netLevel), so the stream-first driver of
+// every net runs before the rest even when their op levels differ; each
+// phase is a store pass then an add pass, stream order within each pass.
+// Every input a phase-L op reads completed in a phase < L — or, for the
+// record-only region, in the live stream before it — so the reordering
+// only ever commutes writes to different nets; per-net sums still
+// accumulate in exactly the reference's order.
+func (st *fusedStream) emitPhaseMajor(p *program, lo, hi int, netLevel []int32, phases int) {
+	byPhase := make([][]int32, phases)
+	for i := lo; i < hi; i++ {
+		lv := netLevel[p.out[i]]
+		byPhase[lv] = append(byPhase[lv], int32(i)) // ascending i: stream order
+	}
+	st.ops = make([]fusedOp, 0, hi-lo)
+	for _, phase := range byPhase {
+		for _, i := range phase {
+			if p.first[i] {
+				st.emit(p, i, true, 0)
+			}
+		}
+		for _, i := range phase {
+			if !p.first[i] {
+				st.emit(p, i, false, 0)
+			}
+		}
+	}
+}
+
 // syncFold copies the program's folded constants (refreshed by refold on
 // trim/mismatch changes) into the stream.
 func (st *fusedStream) syncFold(p *program) {
@@ -128,6 +171,7 @@ func (st *fusedStream) syncFold(p *program) {
 		if sg.op == opConst {
 			for i := range ops {
 				ops[i].gain = p.cval[auxs[i]]
+				ops[i].off = p.craw[auxs[i]]
 			}
 		} else {
 			for i := range ops {
@@ -172,19 +216,22 @@ type fusedLevel struct {
 type fusedProg struct {
 	p *program
 
-	// Serial kernel: the whole fast region in phase-major store/add
-	// order.
+	// serial is the trial-live region in phase-major store/add order: the
+	// trial stages' serial kernel and the first leg of every record pass.
+	// rec is the record-only region, laid out the same way: the record
+	// pass's second leg.
 	serial    fusedStream
+	rec       fusedStream
 	syncedGen uint64
 
-	// Level schedule: driven nets grouped by level (ascending net id
-	// within a level), each with its driver ops in stream order. Feeds
-	// the per-chunk materialisation below.
+	// Level schedule of the trial-live region: driven nets grouped by
+	// level (ascending net id within a level), each with its driver ops
+	// in stream order. Feeds the per-chunk materialisation below.
 	netOrder []int32
 	opStart  []int32 // len(netOrder)+1 prefix sums into opIdx
 	opIdx    []int32
 
-	// Parallel kernel: a second stream laid out per (level, worker
+	// Parallel kernel: a second live stream laid out per (level, worker
 	// chunk). Rebuilt by SetWorkers.
 	par     fusedStream
 	levels  []fusedLevel
@@ -206,35 +253,26 @@ type fusedProg struct {
 	callState []float64
 	callTs    []float64 // lane kernel: per-lane evaluation times
 
-	// Lane kernel: materialised per-lane folded constants aligned with
-	// each stream's op positions ([streamPos*B+lane]), re-synced when the
-	// simulator's laneProg bumps its fold generation or changes width.
-	// laneSerialUni/laneParUni mark ops whose folded constants are equal
-	// across every lane (all of them, in a batch that diverges only the
-	// right-hand sides), so the hot loops read one gain instead of
-	// streaming B copies. laneSerialCraw carries the per-lane opConst raw
-	// values for the serial stream; only the record pass reads it.
-	laneSerialG    []float64
-	laneParG       []float64
-	laneSerialUni  []bool
-	laneParUni     []bool
-	laneSerialCraw []float64
-	syncedLaneGen  uint64
-	laneB          int
+	// Lane fold bookkeeping: the streams' lane fields were last synced
+	// from this laneProg generation at this width.
+	syncedLaneGen uint64
+	laneB         int
 }
 
 // buildFused computes the level schedule and the materialised streams
-// for p's fast region. nNets is the netlist's net count.
+// for p's driving ops. nNets is the netlist's net count.
 func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 	f := &fusedProg{p: p}
 
-	// Topological levels. The fast stream is ordered sources-first then
-	// topologically, so a single pass sees every driver of a net before
-	// any reader of it: netLevel is final by the time it is consumed.
+	// Topological levels. The driving region is ordered sources-first
+	// then topologically (live ops first, then record-only ops, which
+	// read only live nets or nets driven earlier in their region), so a
+	// single pass sees every driver of a net before any reader of it:
+	// netLevel is final by the time it is consumed.
 	netLevel := make([]int32, nNets)
-	drivers := make([]int32, nNets) // per-net fast driver count
+	drivers := make([]int32, nNets) // per-net live driver count
 	maxLevel := int32(0)
-	for i := 0; i < p.nFast; i++ {
+	for i := 0; i < p.nDrive; i++ {
 		var lv int32
 		switch p.kind[i] {
 		case opLinear, opLUT:
@@ -246,7 +284,9 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 			}
 		}
 		out := p.out[i]
-		drivers[out]++
+		if i < p.nLive {
+			drivers[out]++
+		}
 		if netLevel[out] < lv {
 			netLevel[out] = lv
 		}
@@ -255,7 +295,7 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 		}
 	}
 
-	// Group driven nets by level, ascending net id within each level (the
+	// Group live nets by level, ascending net id within each level (the
 	// scan order), and record each level's [lo,hi) range of netOrder.
 	nDriven := 0
 	for n := 0; n < nNets; n++ {
@@ -285,40 +325,17 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 	for i := 1; i < len(f.opStart); i++ {
 		f.opStart[i] += f.opStart[i-1]
 	}
-	f.opIdx = make([]int32, p.nFast)
+	f.opIdx = make([]int32, p.nLive)
 	cursor := make([]int32, len(f.netOrder))
 	copy(cursor, f.opStart[:len(f.netOrder)])
-	for i := 0; i < p.nFast; i++ {
+	for i := 0; i < p.nLive; i++ {
 		si := slot[p.out[i]]
 		f.opIdx[cursor[si]] = int32(i)
 		cursor[si]++
 	}
 
-	// Materialise the serial stream: phase-major (a driver executes in
-	// its net's phase, so the stream-first driver of every net runs
-	// before the rest even when their op levels differ), store pass then
-	// add pass per phase, stream order within each pass. Every input a
-	// phase-L op reads completed in a phase < L, so the reordering only
-	// ever commutes writes to different nets; per-net sums still
-	// accumulate in exactly the reference's order.
-	byPhase := make([][]int32, maxLevel+1)
-	for i := 0; i < p.nFast; i++ {
-		lv := netLevel[p.out[i]]
-		byPhase[lv] = append(byPhase[lv], int32(i)) // ascending i: stream order
-	}
-	f.serial.ops = make([]fusedOp, 0, p.nFast)
-	for _, phase := range byPhase {
-		for _, i := range phase {
-			if p.first[i] {
-				f.serial.emit(p, i, true, 0)
-			}
-		}
-		for _, i := range phase {
-			if !p.first[i] {
-				f.serial.emit(p, i, false, 0)
-			}
-		}
-	}
+	f.serial.emitPhaseMajor(p, 0, p.nLive, netLevel, int(maxLevel)+1)
+	f.rec.emitPhaseMajor(p, p.nLive, p.nDrive, netLevel, int(maxLevel)+1)
 
 	f.rebuildChunks(workers, minChunkOps) // also syncs folded constants
 	return f
@@ -342,6 +359,7 @@ func (f *fusedProg) rebuildChunks(workers, minChunkOps int) {
 	f.workers = workers
 	f.par.reset()
 	f.multiChunk = false
+	f.laneB = 0 // the par stream's lane constants must be re-synced
 	var stores, adds []int32
 	for li := range f.levels {
 		lv := &f.levels[li]
@@ -415,7 +433,7 @@ func (f *fusedProg) rebuildChunks(workers, minChunkOps int) {
 				})
 				lv.laneFns = append(lv.laneFns, func() {
 					defer f.wg.Done()
-					f.runSegsLanes(f.callSim, f.callTs, f.callState, &f.par, f.par.segs[c.segLo:c.segHi], f.laneParG, f.laneParUni, f.laneB)
+					f.runSegsLanes(f.callSim, f.callTs, f.callState, &f.par, f.par.segs[c.segLo:c.segHi], f.laneB)
 				})
 			}
 		}
@@ -423,20 +441,22 @@ func (f *fusedProg) rebuildChunks(workers, minChunkOps int) {
 	f.syncFold()
 }
 
-// syncFold refreshes both streams' folded constants from the program.
+// syncFold refreshes every stream's folded constants from the program.
 func (f *fusedProg) syncFold() {
 	f.serial.syncFold(f.p)
+	f.rec.syncFold(f.p)
 	f.par.syncFold(f.p)
 	f.syncedGen = f.p.foldGen
 }
 
-// eval dispatches between the serial segmented kernel and the
-// level-parallel kernel.
+// eval is a trial-stage evaluation: it computes the trial-live nets only,
+// dispatching between the serial segmented kernel and the level-parallel
+// kernel.
 func (f *fusedProg) eval(s *Simulator, t float64, state []float64) {
 	if f.syncedGen != f.p.foldGen {
 		f.syncFold()
 	}
-	if s.workers > 1 && f.p.nFast >= s.fusedMinOps && f.multiChunk {
+	if s.workers > 1 && f.p.nLive >= s.fusedMinOps && f.multiChunk {
 		f.evalParallel(s, t, state)
 		return
 	}
@@ -590,7 +610,7 @@ func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fused
 			auxs := all.aux[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
-				tab := p.tab[auxs[i]]
+				tab := p.blk[auxs[i]].Table
 				idx := lutIndex(nv[o.in0], fs, len(tab))
 				v := o.gain*tab[idx] + o.off
 				if math.Abs(v) > fs { // one predictable branch; NaN passes through
@@ -610,30 +630,187 @@ func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fused
 	}
 }
 
-// syncFoldLanes materialises a stream's per-lane folded constants from
-// the simulator's laneProg: laneG[pos*B+lane] is op pos's lane-l folded
-// gain (the saturated constant for opConst), exactly mirroring how
-// syncFold fills ops[pos].gain from the scalar fold. uni[pos] marks ops
-// whose B folded gains are identical — the common case for everything
-// but DACs when a batch diverges only its right-hand sides — letting the
-// hot loops broadcast one load instead of streaming B.
-func (st *fusedStream) syncFoldLanes(lp *laneProg, laneG []float64, uni []bool) ([]float64, []bool) {
+// evalRecord is the scalar record-mode evaluation: the live stream, then
+// the record-only stream, both with the latches folded into every loop
+// (runSegsRecord), then an interpreted tail over the silent ops. Each
+// stream's first-driver stores cover every net it drives, record-only ops
+// read only nets completed before them, and latching is order-independent
+// (max and OR), so the pass is value- and latch-identical to the
+// interpreter's record evaluation.
+func (f *fusedProg) evalRecord(s *Simulator, t float64, state []float64) {
+	if f.syncedGen != f.p.foldGen {
+		f.syncFold()
+	}
+	f.runSegsRecord(s, t, state, &f.serial)
+	f.runSegsRecord(s, t, state, &f.rec)
+
+	// Silent tail: compute each op's raw value from the finished nets and
+	// latch it; nothing is driven.
+	p := f.p
+	fs := s.nl.cfg.FullScale
+	ovThresh := fs * (1 + 1e-12)
+	nv := s.netVals
+	for i := p.nDrive; i < len(p.kind); i++ {
+		var raw float64
+		switch p.kind[i] {
+		case opConst:
+			raw = p.craw[i]
+		case opState:
+			raw = state[p.in0[i]]
+		case opInput:
+			if fn := p.blk[i].Stimulus; fn != nil {
+				raw = fn(t)
+			}
+		case opLinear:
+			raw = p.gain[i]*nv[p.in0[i]] + p.off[i]
+		case opVarMul:
+			raw = p.gain[i]*(nv[p.in0[i]]*nv[p.in1[i]]/fs) + p.off[i]
+		case opLUT:
+			tab := p.blk[i].Table
+			idx := lutIndex(nv[p.in0[i]], fs, len(tab))
+			raw = p.gain[i]*tab[idx] + p.off[i]
+		}
+		latch(p.blk[i], math.Abs(raw), ovThresh)
+	}
+}
+
+// latch folds one raw output magnitude into a block's peak tracker and
+// overflow latch. NaN compares false on both, as in the interpreter.
+func latch(b *Block, a, ovThresh float64) {
+	if a > b.PeakAbs {
+		b.PeakAbs = a
+	}
+	if a > ovThresh {
+		b.Overflowed = true
+	}
+}
+
+// runSegsRecord is runSegs with the record-mode bookkeeping in every
+// loop: each op's raw value updates the owning block's peak tracker and
+// overflow latch before saturation. opConst ops carry their saturated
+// value in gain and their raw value in off.
+func (f *fusedProg) runSegsRecord(s *Simulator, t float64, state []float64, all *fusedStream) {
+	p := f.p
+	fs := s.nl.cfg.FullScale
+	sat := s.nl.cfg.SatLevel
+	ovThresh := fs * (1 + 1e-12)
+	nv := s.netVals
+	blocks := s.nl.blocks
+	for _, sg := range all.segs {
+		ops := all.ops[sg.start:sg.end]
+		ids := all.ids[sg.start:sg.end]
+		switch sg.op {
+		case opConst:
+			for i := range ops {
+				o := &ops[i]
+				latch(blocks[ids[i]], math.Abs(o.off), ovThresh)
+				if sg.store {
+					nv[o.out] = 0 + o.gain
+				} else {
+					nv[o.out] += o.gain
+				}
+			}
+		case opState:
+			for i := range ops {
+				o := &ops[i]
+				v := state[o.in0]
+				a := math.Abs(v)
+				latch(blocks[ids[i]], a, ovThresh)
+				if a > fs { // NaN skips saturation, as in softSat
+					v = softSat(v, fs, sat)
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		case opInput:
+			auxs := all.aux[sg.start:sg.end]
+			for i := range ops {
+				o := &ops[i]
+				var v float64
+				if fn := p.blk[auxs[i]].Stimulus; fn != nil {
+					v = fn(t)
+				}
+				a := math.Abs(v)
+				latch(blocks[ids[i]], a, ovThresh)
+				if a > fs {
+					v = softSat(v, fs, sat)
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		case opLinear:
+			for i := range ops {
+				o := &ops[i]
+				v := o.gain*nv[o.in0] + o.off
+				a := math.Abs(v)
+				latch(blocks[ids[i]], a, ovThresh)
+				if a > fs {
+					v = softSat(v, fs, sat)
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		case opVarMul:
+			in1s := all.in1[sg.start:sg.end]
+			for i := range ops {
+				o := &ops[i]
+				v := o.gain*(nv[o.in0]*nv[in1s[i]]/fs) + o.off
+				a := math.Abs(v)
+				latch(blocks[ids[i]], a, ovThresh)
+				if a > fs {
+					v = softSat(v, fs, sat)
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		case opLUT:
+			auxs := all.aux[sg.start:sg.end]
+			for i := range ops {
+				o := &ops[i]
+				tab := p.blk[auxs[i]].Table
+				v := o.gain*tab[lutIndex(nv[o.in0], fs, len(tab))] + o.off
+				a := math.Abs(v)
+				latch(blocks[ids[i]], a, ovThresh)
+				if a > fs {
+					v = softSat(v, fs, sat)
+				}
+				if sg.store {
+					nv[o.out] = 0 + v
+				} else {
+					nv[o.out] += v
+				}
+			}
+		}
+	}
+}
+
+// syncFoldLanes materialises the stream's per-lane folded constants from
+// the simulator's laneProg into its lane fields, exactly mirroring how
+// syncFold fills ops[pos].gain from the scalar fold, and laneCraw's
+// opConst positions, which only the record pass reads. Constants are
+// sources, so they sit in the stream's first phase: laneCraw stops at
+// the last of them.
+func (st *fusedStream) syncFoldLanes(lp *laneProg) {
 	B := lp.lanes
 	need := len(st.ops) * B
-	if cap(laneG) < need {
-		laneG = make([]float64, need)
-	} else {
-		laneG = laneG[:need]
-	}
-	if cap(uni) < len(st.ops) {
-		uni = make([]bool, len(st.ops))
-	} else {
-		uni = uni[:len(st.ops)]
-	}
+	st.laneG = resizeF(st.laneG, need)
+	st.laneUni = resizeBool(st.laneUni, len(st.ops))
 	for i := range st.ops {
 		a := int(st.aux[i])
 		src := lp.gain[a*B : (a+1)*B]
-		copy(laneG[i*B:(i+1)*B], src)
+		copy(st.laneG[i*B:(i+1)*B], src)
 		u := true
 		for l := 1; l < B; l++ {
 			if src[l] != src[0] {
@@ -641,64 +818,58 @@ func (st *fusedStream) syncFoldLanes(lp *laneProg, laneG []float64, uni []bool) 
 				break
 			}
 		}
-		uni[i] = u
+		st.laneUni[i] = u
 	}
-	return laneG, uni
-}
-
-// syncFoldLanesCraw materialises the per-lane opConst raw (pre-saturation)
-// values aligned with the stream. Only opConst positions are filled — the
-// record pass is the sole reader and touches nothing else.
-func (st *fusedStream) syncFoldLanesCraw(lp *laneProg, craw []float64) []float64 {
-	B := lp.lanes
-	need := len(st.ops) * B
-	if cap(craw) < need {
-		craw = make([]float64, need)
-	} else {
-		craw = craw[:need]
+	constEnd := 0
+	for _, sg := range st.segs {
+		if sg.op == opConst {
+			constEnd = int(sg.end)
+		}
 	}
+	st.laneCraw = resizeF(st.laneCraw, constEnd*B)
 	for _, sg := range st.segs {
 		if sg.op != opConst {
 			continue
 		}
 		for i := int(sg.start); i < int(sg.end); i++ {
 			a := int(st.aux[i])
-			copy(craw[i*B:(i+1)*B], lp.craw[a*B:(a+1)*B])
+			copy(st.laneCraw[i*B:(i+1)*B], lp.craw[a*B:(a+1)*B])
 		}
 	}
-	return craw
 }
 
 // syncLanes brings the fused kernel's materialised lane state current with
 // the simulator's scalar fold and lane fold generations, returning the
-// lane width. Shared by the fast and record lane entry points.
+// lane width. Shared by the trial and record lane entry points.
 func (f *fusedProg) syncLanes(s *Simulator) int {
 	if f.syncedGen != f.p.foldGen {
 		f.syncFold()
 	}
 	lp := s.lprog
 	if f.syncedLaneGen != lp.foldGen || f.laneB != lp.lanes {
-		f.laneSerialG, f.laneSerialUni = f.serial.syncFoldLanes(lp, f.laneSerialG, f.laneSerialUni)
-		f.laneParG, f.laneParUni = f.par.syncFoldLanes(lp, f.laneParG, f.laneParUni)
-		f.laneSerialCraw = f.serial.syncFoldLanesCraw(lp, f.laneSerialCraw)
+		f.serial.syncFoldLanes(lp)
+		f.rec.syncFoldLanes(lp)
+		if f.multiChunk { // the lane kernel never reads an unsplit par stream
+			f.par.syncFoldLanes(lp)
+		}
 		f.syncedLaneGen = lp.foldGen
 		f.laneB = lp.lanes
 	}
 	return lp.lanes
 }
 
-// evalLanes is the lane-batched fast evaluation: the fused segment walk
-// with an inner loop streaming B lanes per op record. Dispatches to the
-// level-parallel kernel on the same schedule as the scalar eval, with
-// the op threshold scaled by the lane width (lanes multiply the work per
-// chunk, not the synchronisation cost).
+// evalLanes is the lane-batched trial evaluation: the fused segment walk
+// over the trial-live region with an inner loop streaming B lanes per op
+// record. Dispatches to the level-parallel kernel on the same schedule as
+// the scalar eval, with the op threshold scaled by the lane width (lanes
+// multiply the work per chunk, not the synchronisation cost).
 func (f *fusedProg) evalLanes(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
-	if s.workers > 1 && f.p.nFast*B >= s.fusedMinOps && f.multiChunk {
+	if s.workers > 1 && f.p.nLive*B >= s.fusedMinOps && f.multiChunk {
 		f.evalLanesParallel(s, ts, state)
 		return
 	}
-	f.runSegsLanes(s, ts, state, &f.serial, f.serial.segs, f.laneSerialG, f.laneSerialUni, B)
+	f.runSegsLanes(s, ts, state, &f.serial, f.serial.segs, B)
 }
 
 // evalLanesParallel is evalParallel for the lane kernel: the same
@@ -720,7 +891,7 @@ func (f *fusedProg) evalLanesParallel(s *Simulator, ts, state []float64) {
 			}
 		}
 		c := chunks[0]
-		f.runSegsLanes(s, ts, state, &f.par, f.par.segs[c.segLo:c.segHi], f.laneParG, f.laneParUni, f.laneB)
+		f.runSegsLanes(s, ts, state, &f.par, f.par.segs[c.segLo:c.segHi], f.laneB)
 		if len(chunks) > 1 {
 			f.wg.Wait()
 		}
@@ -729,21 +900,21 @@ func (f *fusedProg) evalLanesParallel(s *Simulator, ts, state []float64) {
 
 // runSegsLanes executes a run of segments over all B lanes: the scalar
 // runSegs loops with an inner lane dimension. Per-lane constants come
-// from laneG (aligned with the stream's op positions); offsets are
-// physical and shared; ops marked uniform in uni broadcast one gain load
+// from the stream's laneG; offsets are physical and shared; ops marked
+// uniform in laneUni broadcast one gain load
 // across the lane loop instead of streaming B identical copies — the
 // value is the same, so lanes stay bit-identical either way. Every
 // lane's per-net accumulation order is the scalar stream order, so each
 // lane is bit-identical to a scalar run with that lane's parameters.
-func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, laneG []float64, uni []bool, B int) {
+func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.laneNets
 	for _, sg := range segs {
 		ops := all.ops[sg.start:sg.end]
-		lg := laneG[int(sg.start)*B : int(sg.end)*B]
-		un := uni[sg.start:sg.end]
+		lg := all.laneG[int(sg.start)*B : int(sg.end)*B]
+		un := all.laneUni[sg.start:sg.end]
 		switch {
 		case sg.op == opConst && sg.store:
 			for i := range ops {
@@ -935,7 +1106,7 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 			auxs := all.aux[sg.start:sg.end]
 			for i := range ops {
 				o := &ops[i]
-				tab := p.tab[auxs[i]]
+				tab := p.blk[auxs[i]].Table
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := nv[int(o.in0)*B : int(o.in0)*B+B]
 				g := lg[i*B : i*B+B]
@@ -961,18 +1132,16 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 	}
 }
 
-// evalLanesRecord is the lane-batched record-mode evaluation: the fused
-// segment walk with the physical bookkeeping — per-lane peak tracking
-// and overflow latching on every op's raw (pre-saturation) value —
-// folded into each loop, then an interpreted tail over the silent ops.
-// Silent ops read only completed nets (lower moves them past every
-// driver), and latching is order-independent, so streaming the fast
-// region first is value- and latch-identical to the compiled walk the
-// scalar engines use. Always serial: it runs once per lockstep tick, the
-// same budget the scalar engines give evalRecord.
+// evalLanesRecord is the lane-batched record-mode evaluation: evalRecord
+// with an inner lane dimension. The live stream, then the record-only
+// stream, run with per-lane peak tracking and overflow latching folded
+// into each loop; an interpreted tail then latches the silent ops, which
+// read only completed nets. Always serial: it runs once per lockstep
+// tick, the same budget the scalar engine gives its record pass.
 func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
-	f.runSegsLanesRecord(s, ts, state, &f.serial, f.serial.segs, f.laneSerialG, f.laneSerialCraw, f.laneSerialUni, B)
+	f.runSegsLanesRecord(s, ts, state, &f.serial, B)
+	f.runSegsLanesRecord(s, ts, state, &f.rec, B)
 
 	// Silent tail: compute each op's per-lane raw from the finished nets
 	// and latch it; nothing is driven.
@@ -981,7 +1150,7 @@ func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 	fs := s.nl.cfg.FullScale
 	ovThresh := fs * (1 + 1e-12)
 	nv := s.laneNets
-	for i := p.nFast; i < len(p.kind); i++ {
+	for i := p.nDrive; i < len(p.kind); i++ {
 		id := p.blk[i].ID
 		pk := s.lanePeak[id*B : id*B+B]
 		ov := s.laneOver[id*B : id*B+B]
@@ -1001,7 +1170,7 @@ func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 			case opVarMul:
 				raw = lp.gain[i*B+l]*(nv[int(p.in0[i])*B+l]*nv[int(p.in1[i])*B+l]/fs) + p.off[i]
 			case opLUT:
-				tab := p.tab[i]
+				tab := p.blk[i].Table
 				idx := lutIndex(nv[int(p.in0[i])*B+l], fs, len(tab))
 				raw = lp.gain[i*B+l]*tab[idx] + p.off[i]
 			}
@@ -1016,13 +1185,14 @@ func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 }
 
 // runSegsLanesRecord is runSegsLanes with the record-mode bookkeeping in
-// every loop: each op's raw value updates the owning block's per-lane
-// peak tracker and overflow latch before saturation. Raw values depend
-// only on completed input nets, so latch results are identical to the
-// compiled-order walk regardless of the phase-major reordering. opConst
-// values come pre-saturated from the lane fold (laneG); their raws come
-// from laneCraw, exactly as the scalar fold keeps craw beside cval.
-func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, laneG, laneCraw []float64, uni []bool, B int) {
+// every loop over one whole stream: each op's raw value updates the
+// owning block's per-lane peak tracker and overflow latch before
+// saturation. Raw values depend only on completed input nets, so latch
+// results are identical to the interpreter's walk regardless of the
+// phase-major reordering. opConst values come pre-saturated from the
+// stream's laneG; their raws come from laneCraw, exactly as the scalar
+// fold keeps craw beside cval.
+func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *fusedStream, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
@@ -1030,14 +1200,14 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 	nv := s.laneNets
 	lanePeak := s.lanePeak
 	laneOver := s.laneOver
-	for _, sg := range segs {
+	for _, sg := range all.segs {
 		ops := all.ops[sg.start:sg.end]
 		ids := all.ids[sg.start:sg.end]
-		lg := laneG[int(sg.start)*B : int(sg.end)*B]
-		un := uni[sg.start:sg.end]
+		lg := all.laneG[int(sg.start)*B : int(sg.end)*B]
+		un := all.laneUni[sg.start:sg.end]
 		switch {
 		case sg.op == opConst:
-			cr := laneCraw[int(sg.start)*B : int(sg.end)*B]
+			cr := all.laneCraw[int(sg.start)*B : int(sg.end)*B]
 			for i := range ops {
 				o := &ops[i]
 				id := int(ids[i])
@@ -1281,7 +1451,7 @@ func (f *fusedProg) runSegsLanesRecord(s *Simulator, ts, state []float64, all *f
 			for i := range ops {
 				o := &ops[i]
 				id := int(ids[i])
-				tab := p.tab[auxs[i]]
+				tab := p.blk[auxs[i]].Table
 				dst := nv[int(o.out)*B : int(o.out)*B+B]
 				src := nv[int(o.in0)*B : int(o.in0)*B+B]
 				pk := lanePeak[id*B : id*B+B]

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -120,30 +121,56 @@ func TestFusedChunkFloorClampsWorkers(t *testing.T) {
 	}
 }
 
-// TestFusedSettlesIdentically runs the settle-and-sample pattern on all
-// three engines and requires identical SettleResults and states.
+// TestFusedSettlesIdentically runs the settle-and-sample pattern on the
+// interpreter and on the fused kernel, serial and level-parallel, and
+// requires identical SettleResults and states; a lane run for the
+// reference's settle time must land on the same state in every lane.
 func TestFusedSettlesIdentically(t *testing.T) {
-	run := func(eng Engine) (SettleResult, []float64) {
+	build := func(eng Engine, parallel bool) *Simulator {
 		sim, err := NewSimulator(buildPoissonNetlist(t, 8, settleRHS), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sim.SetEngine(eng)
-		res := sim.RunUntilSettled(1e-4, 1.0, 0) // exercises DefaultCheckEvery
-		return res, append([]float64(nil), sim.state...)
+		if parallel {
+			sim.fusedMinOps = 0
+			sim.chunkMinOps = 0
+			sim.SetWorkers(3)
+		}
+		return sim
 	}
-	refRes, refState := run(EngineReference)
+	ref := build(EngineReference, false)
+	refRes := ref.RunUntilSettled(1e-4, 1.0, 0) // exercises DefaultCheckEvery
 	if !refRes.Settled {
 		t.Fatalf("reference did not settle: %+v", refRes)
 	}
-	for _, eng := range []Engine{EngineCompiled, EngineFused} {
-		res, state := run(eng)
-		if res != refRes {
-			t.Fatalf("%v settle result %+v != reference %+v", eng, res, refRes)
+	for _, parallel := range []bool{false, true} {
+		sim := build(EngineFused, parallel)
+		if res := sim.RunUntilSettled(1e-4, 1.0, 0); res != refRes {
+			t.Fatalf("fused (parallel=%v) settle result %+v != reference %+v", parallel, res, refRes)
 		}
-		for i := range refState {
-			if state[i] != refState[i] {
-				t.Fatalf("%v state %d diverges", eng, i)
+		for i := range ref.state {
+			if sim.state[i] != ref.state[i] {
+				t.Fatalf("fused (parallel=%v) state %d diverges", parallel, i)
+			}
+		}
+	}
+	const B = 3
+	simL := build(EngineFused, false)
+	if err := simL.ConfigureLanes(B); err != nil {
+		t.Fatal(err)
+	}
+	simL.Reset()
+	if err := simL.RunLanes(refRes.Time); err != nil {
+		t.Fatal(err)
+	}
+	for lane := 0; lane < B; lane++ {
+		if simL.LaneSteps(lane) != ref.Steps() {
+			t.Fatalf("lane %d: %d steps vs reference %d", lane, simL.LaneSteps(lane), ref.Steps())
+		}
+		for i := range ref.state {
+			if simL.laneState[i*B+lane] != ref.state[i] {
+				t.Fatalf("lane %d: state %d diverges", lane, i)
 			}
 		}
 	}
@@ -176,11 +203,22 @@ func TestLUTNaNInput(t *testing.T) {
 	if math.IsNaN(refV) {
 		t.Fatalf("NaN leaked through the LUT into the state")
 	}
-	for _, eng := range []Engine{EngineCompiled, EngineFused} {
-		sim, integ := build(eng)
-		sim.Run(10 * sim.Dt())
-		if v, _ := sim.IntegratorValue(integ); v != refV {
-			t.Fatalf("%v: state %v != reference %v", eng, v, refV)
+	sim, integ := build(EngineFused)
+	sim.Run(10 * sim.Dt())
+	if v, _ := sim.IntegratorValue(integ); v != refV {
+		t.Fatalf("fused: state %v != reference %v", v, refV)
+	}
+	simL, integL := build(EngineFused)
+	if err := simL.ConfigureLanes(2); err != nil {
+		t.Fatal(err)
+	}
+	simL.Reset()
+	if err := simL.RunLanes(10 * simL.LaneDt(0)); err != nil {
+		t.Fatal(err)
+	}
+	for lane := 0; lane < 2; lane++ {
+		if v, _ := simL.LaneIntegratorValue(integL, lane); v != refV {
+			t.Fatalf("lane %d: state %v != reference %v", lane, v, refV)
 		}
 	}
 }
@@ -193,44 +231,24 @@ func TestEngineParse(t *testing.T) {
 	}{
 		{"", EngineAuto}, {"auto", EngineAuto},
 		{"interpreter", EngineReference}, {"reference", EngineReference},
-		{"compiled", EngineCompiled}, {"fused", EngineFused},
+		{"fused", EngineFused},
 	} {
 		got, err := ParseEngine(tc.name)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseEngine(%q) = (%v, %v), want %v", tc.name, got, err, tc.want)
 		}
 	}
-	if _, err := ParseEngine("vectorized"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
+	for _, name := range []string{"vectorized", "compiled"} {
+		_, err := ParseEngine(name)
+		if err == nil {
+			t.Fatalf("ParseEngine accepted unknown engine %q", name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "auto, interpreter, or fused") {
+			t.Fatalf("ParseEngine(%q) error %q does not list the valid engines", name, msg)
+		}
 	}
 	if EngineFused.String() != "fused" || EngineReference.String() != "interpreter" {
 		t.Fatal("Engine.String names drifted from ParseEngine")
-	}
-}
-
-// TestSetReferenceEngineCompat pins the legacy switch's meaning: off must
-// select the compiled engine explicitly (not auto/fused), so pre-existing
-// compiled-engine benchmarks keep measuring the compiled engine.
-func TestSetReferenceEngineCompat(t *testing.T) {
-	nl, err := NewNetlist(Config{Bandwidth: 20e3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildDecay(nl, 1.0)
-	sim, err := NewSimulator(nl, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.EngineSelected() != EngineFused {
-		t.Fatalf("default engine %v, want fused via auto", sim.EngineSelected())
-	}
-	sim.SetReferenceEngine(true)
-	if sim.EngineSelected() != EngineReference {
-		t.Fatalf("SetReferenceEngine(true) selected %v", sim.EngineSelected())
-	}
-	sim.SetReferenceEngine(false)
-	if sim.EngineSelected() != EngineCompiled {
-		t.Fatalf("SetReferenceEngine(false) selected %v, want compiled", sim.EngineSelected())
 	}
 }
 
@@ -244,14 +262,14 @@ func TestFirstDriverFlags(t *testing.T) {
 	}
 	p := sim.prog
 	seen := map[int32]bool{}
-	for i := 0; i < p.nFast; i++ {
+	for i := 0; i < p.nDrive; i++ {
 		out := p.out[i]
 		if p.first[i] != !seen[out] {
 			t.Fatalf("op %d (net %d): first=%v but net already driven=%v", i, out, p.first[i], seen[out])
 		}
 		seen[out] = true
 	}
-	for i := p.nFast; i < len(p.kind); i++ {
+	for i := p.nDrive; i < len(p.kind); i++ {
 		if p.first[i] {
 			t.Fatalf("silent op %d flagged as first driver", i)
 		}

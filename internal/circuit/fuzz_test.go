@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// FuzzEngineEquivalence fuzzes the bit-identity guarantee across all
-// three engines: a randomized netlist (seed-driven: block mix, topology,
-// trims, and mismatch all derive from the seed) steps in lockstep on the
-// reference interpreter, the compiled op stream, and the fused kernel —
-// with the fused parallel path forced on — and every externally
-// observable value must match exactly. `drive` scales the integrator
-// initial conditions up to hard saturation, covering the softSat branches
-// and overflow latches; netlists routinely include silent (unrouted) ops
-// via the builder's noNet sinks.
+// FuzzEngineEquivalence fuzzes the bit-identity guarantee: a randomized
+// netlist (seed-driven: block mix, topology, trims, and mismatch all
+// derive from the seed) steps in lockstep on the reference interpreter
+// and on the fused kernel — serial, and with the level-parallel path
+// forced on — and every externally observable value must match exactly.
+// On noise-free seeds a lane-batched fused run must match the interpreter
+// too, lane by lane. `saturate` drives the integrator states up to hard
+// saturation, covering the softSat branches and overflow latches;
+// netlists routinely include record-only ops (dangling outputs that no
+// integrator sees) and silent ops (the builder's noNet sinks).
 //
 // The checked-in corpus under testdata/fuzz runs as ordinary regression
 // tests on every `go test` (including -short CI runs); `go test
@@ -25,6 +26,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(7), byte(17), false)
 	f.Add(int64(11), byte(3), true)
 	f.Add(int64(19), byte(25), true)
+	// A record-only cone more than one op deep, var-mul and LUT ops
+	// included (TestFuzzSeedHasRecordOnlyCone pins the depth).
+	f.Add(recordOnlyConeSeed, byte(30), true)
 	f.Fuzz(func(t *testing.T, seed int64, steps byte, saturate bool) {
 		cfg := Config{
 			Bandwidth:   20e3,
@@ -35,7 +39,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if seed%2 == 0 {
 			cfg.NoiseSigma = 1e-4
 		}
-		build := func(eng Engine) (*Simulator, []*Block) {
+		build := func(eng Engine, parallel bool) (*Simulator, []*Block) {
 			nl, integs, adcs := buildRandomNetlist(t, rand.New(rand.NewSource(seed)), cfg)
 			sim, err := NewSimulator(nl, 0)
 			if err != nil {
@@ -45,7 +49,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			sim.SetEngine(eng)
-			if eng == EngineFused {
+			if parallel {
 				sim.fusedMinOps = 0 // force the level-parallel path
 				sim.chunkMinOps = 0 // past the chunk floor too
 				sim.SetWorkers(3)
@@ -64,17 +68,57 @@ func FuzzEngineEquivalence(f *testing.F) {
 			return sim, adcs
 		}
 		n := int(steps)%48 + 1
-		for _, eng := range []Engine{EngineCompiled, EngineFused} {
+		for _, parallel := range []bool{false, true} {
 			// A fresh reference per comparison: expectSame's ADC reads
 			// latch overflow state, so a shared reference would leak one
 			// engine's comparison into the next.
-			ref, adcsRef := build(EngineReference)
-			sim, adcs := build(eng)
+			ref, adcsRef := build(EngineReference, false)
+			sim, adcs := build(EngineFused, parallel)
 			for i := 0; i < n; i++ {
 				ref.Step()
 				sim.Step()
 			}
-			expectSame(t, ref, sim, adcsRef, adcs, eng.String())
+			expectSame(t, ref, sim, adcsRef, adcs, fmt.Sprintf("fused parallel=%v", parallel))
+		}
+		if cfg.NoiseSigma > 0 {
+			return // lane mode models a noise-free datapath
+		}
+		// Lane arm: B identical lanes against the interpreter. Saturation
+		// comes in through the initial conditions here (a lane state poke
+		// would need a Reset, which latches the poked values), so each
+		// reference is built from the same saturated netlist.
+		B := int(steps)%5 + 1
+		buildSat := func() *Netlist {
+			nl, _, _ := buildRandomNetlist(t, rand.New(rand.NewSource(seed)), cfg)
+			if saturate {
+				for _, b := range nl.Blocks() {
+					if b.Kind == KindIntegrator {
+						b.IC = b.IC*40 + 1.5
+					}
+				}
+			}
+			return nl
+		}
+		simL, err := NewSimulator(buildSat(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := simL.ConfigureLanes(B); err != nil {
+			t.Fatal(err)
+		}
+		simL.Reset()
+		d := float64(n) * simL.LaneDt(0)
+		if err := simL.RunLanes(d); err != nil {
+			t.Fatal(err)
+		}
+		for lane := 0; lane < B; lane++ {
+			ref, err := NewSimulator(buildSat(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.SetEngine(EngineReference)
+			ref.Run(d)
+			expectLaneMatchesScalar(t, simL, lane, ref, fmt.Sprintf("lanes B=%d", B))
 		}
 	})
 }

@@ -42,23 +42,26 @@ type Simulator struct {
 	// a committed datapath runs; see ReloadBlockParams).
 	effOff  []float64
 	effGain []float64
-	// prog is the compiled op-stream lowering of the netlist (see
-	// compiled.go); fused is its segmented / level-scheduled view (see
-	// fused.go). engine selects which kernel eval dispatches to.
+	// prog is the op-stream lowering of the netlist (see program.go);
+	// fused is its segmented / level-scheduled kernel (see fused.go).
+	// engine selects between the fused kernel and the interpreter.
 	prog   *program
 	fused  *fusedProg
 	engine Engine
 	// workers bounds the fused engine's level-parallel sharding;
-	// fusedMinOps is the fast-op count below which it stays serial, and
-	// chunkMinOps the per-chunk op floor that clamps how finely a single
-	// level may shard (fields so tests can force the parallel path on
-	// small programs).
+	// fusedMinOps is the trial-live op count below which it stays
+	// serial, and chunkMinOps the per-chunk op floor that clamps how
+	// finely a single level may shard (fields so tests can force the
+	// parallel path on small programs).
 	workers     int
 	fusedMinOps int
 	chunkMinOps int
 	// valsDirty marks netVals stale relative to (time, state): stepH can
 	// otherwise reuse the post-step evaluation as the next step's k1 stage.
 	valsDirty bool
+	// gainSum is autoStep's per-net scratch, reused across commits and
+	// lanes.
+	gainSum []float64
 
 	// Lane-batched mode (see lanes.go): lanes is the batch width B (0 in
 	// scalar mode). All lane buffers are lane-contiguous: slot [x*B+l]
@@ -94,7 +97,11 @@ func NewSimulator(nl *Netlist, dt float64) (*Simulator, error) {
 		nl:      nl,
 		netVals: make([]float64, nl.nets),
 		k:       2 * math.Pi * nl.cfg.Bandwidth,
-		noise:   rand.New(rand.NewSource(nl.cfg.Seed + 0x9e3779b9)),
+	}
+	if nl.cfg.NoiseSigma > 0 {
+		// Only a noisy datapath draws from the stream; the source's state
+		// is several kilobytes, so noise-free simulators go without.
+		s.noise = rand.New(rand.NewSource(nl.cfg.Seed + 0x9e3779b9))
 	}
 	for _, b := range nl.blocks {
 		if b.Kind == KindIntegrator {
@@ -202,12 +209,26 @@ func (s *Simulator) compile() error {
 // autoStep estimates a stable RK4 step from the programmed gains: the loop
 // eigenvalues are bounded by k times the largest summed |gain| into a net,
 // and RK4 is stable well past λ·dt = 2.7, so dt = 0.1/(k·G) is conservative.
-func (s *Simulator) autoStep() float64 {
-	gainSum := make([]float64, s.nl.nets)
+func (s *Simulator) autoStep() float64 { return s.autoStepLane(-1) }
+
+// autoStepLane is autoStep evaluated with lane l's multiplier gains
+// (lane < 0: the blocks' scalar gains): the identical gain-sum walk, so a
+// lane's dt matches the dt a scalar simulator would derive for that
+// lane's parameters. The per-net sums live in simulator-owned scratch.
+func (s *Simulator) autoStepLane(lane int) float64 {
+	s.gainSum = resizeF(s.gainSum, s.nl.nets)
+	gainSum := s.gainSum
+	for i := range gainSum {
+		gainSum[i] = 0
+	}
 	for _, b := range s.nl.blocks {
 		g := 1.0
 		if b.Kind == KindMultiplier && !b.varMode {
-			g = math.Abs(b.Gain)
+			if lane < 0 {
+				g = math.Abs(b.Gain)
+			} else {
+				g = math.Abs(s.laneGainP[s.laneIdx(b.ID, lane)])
+			}
 		}
 		if b.Kind == KindADC {
 			continue
@@ -259,18 +280,6 @@ func (s *Simulator) ReloadBlockParams() {
 	}
 }
 
-// SetReferenceEngine selects the original block-walk interpreter (on) or
-// the compiled op-stream engine (off). Kept for callers predating
-// SetEngine: off deliberately means EngineCompiled, not EngineAuto, so
-// existing compiled-engine benchmarks keep measuring what they claim.
-func (s *Simulator) SetReferenceEngine(on bool) {
-	if on {
-		s.SetEngine(EngineReference)
-	} else {
-		s.SetEngine(EngineCompiled)
-	}
-}
-
 // Reset loads integrator initial conditions, rewinds time, and clears
 // exception latches. Probes are kept but their histories cleared.
 func (s *Simulator) Reset() {
@@ -313,35 +322,26 @@ func softSat(v, fs, sat float64) float64 {
 	return v
 }
 
-// eval computes all net values for the given state at time t. When record
-// is true it also latches overflow exceptions and updates peak trackers
-// (record is false during RK4 trial stages, which are not physical states).
-// It dispatches on the selected engine (SetEngine): fused by default,
-// with the compiled op-stream and reference block-walk engines
-// selectable. Record-mode evaluations always take the full op walk —
-// peak/overflow latching visits every op regardless of engine.
+// eval computes net values for the given state at time t. When record is
+// true it computes every net and also latches overflow exceptions and
+// updates peak trackers. Record is false during RK4 trial stages, which
+// are not physical states and feed only the integrator derivatives: the
+// fused kernel then computes just the trial-live nets, leaving the others
+// at their last recorded values until the step's record pass. The
+// interpreter always walks every block.
 func (s *Simulator) eval(t float64, state []float64, record bool) {
-	eng := s.engine
-	if eng == EngineAuto {
-		eng = EngineFused
-	}
-	if eng == EngineReference || s.prog == nil {
+	switch {
+	case s.engine == EngineReference:
 		s.evalReference(t, state, record)
-		return
-	}
-	if record {
-		s.prog.evalRecord(s, t, state)
-		return
-	}
-	if eng == EngineFused && s.fused != nil {
+	case record:
+		s.fused.evalRecord(s, t, state)
+	default:
 		s.fused.eval(s, t, state)
-		return
 	}
-	s.prog.evalFast(s, t, state)
 }
 
 // evalReference is the original block-walk interpreter: the executable
-// specification the compiled engine is differentially tested against.
+// specification the fused kernel is differentially tested against.
 func (s *Simulator) evalReference(t float64, state []float64, record bool) {
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
@@ -406,7 +406,7 @@ func (s *Simulator) evalReference(t float64, state []float64, record bool) {
 // tmp = state + c·dst into the same pass. Callers must have evaluated
 // netVals for the state the derivatives belong to.
 func (s *Simulator) stage(dst, tmp []float64, c float64) {
-	if s.engine != EngineReference && s.prog != nil {
+	if s.engine != EngineReference {
 		s.prog.stage(s, dst, tmp, c)
 		return
 	}

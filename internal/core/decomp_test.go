@@ -217,7 +217,9 @@ func (f providerFunc) AcquireChips(ctx context.Context, sample Matrix, want int)
 // sessions ride on: once a matrix is programmed, further solves on the
 // same session only rewrite biases and initial conditions — a
 // parameter-only commit, not a netlist rebuild — and still get the right
-// answer. Reprogramming a different matrix must rebuild.
+// answer. Reprogramming a matrix with the same sparsity and new gains
+// reuses the live datapath too, with answers bit-identical to a freshly
+// built chip's; a new sparsity pattern must rebuild.
 func TestLightCommitSkipsRebuild(t *testing.T) {
 	a := la.Tridiag(4, -1, 4, -1)
 	acc, dev, err := NewSimulated(chip.ScaledSpec(4, 12, 20e3, 4))
@@ -246,13 +248,70 @@ func TestLightCommitSkipsRebuild(t *testing.T) {
 	if got := dev.Rebuilds(); got != base {
 		t.Fatalf("bias-only solves rebuilt the netlist: %d → %d rebuilds", base, got)
 	}
-	// A different matrix is a topology/gain change: full rebuild.
+	// Same sparsity, new gains: the staged topology equals the live one,
+	// so the commit is applied in place.
 	a2 := la.Tridiag(4, -0.5, 3, -0.5)
-	if _, err := acc.BeginSession(a2); err != nil {
+	sess2, err := acc.BeginSession(a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Rebuilds(); got != base {
+		t.Fatalf("same-sparsity matrix rebuilt the netlist: %d → %d rebuilds", base, got)
+	}
+	fresh, _, err := NewSimulated(chip.ScaledSpec(4, 12, 20e3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshSess, err := fresh.BeginSession(a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2 := la.Constant(4, 0.75)
+	got, _, err := sess2.SolveForRefined(b2, SolveOptions{Tolerance: 1e-7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := freshSess.SolveForRefined(b2, SolveOptions{Tolerance: 1e-7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reused datapath u[%d] = %v, freshly built chip %v", i, got[i], want[i])
+		}
+	}
+	// New sparsity: full rebuild.
+	a3 := la.MustCSR(4, []la.COOEntry{
+		{Row: 0, Col: 0, Val: 4}, {Row: 0, Col: 3, Val: -1},
+		{Row: 1, Col: 1, Val: 4}, {Row: 1, Col: 2, Val: -1},
+		{Row: 2, Col: 1, Val: -1}, {Row: 2, Col: 2, Val: 4},
+		{Row: 3, Col: 0, Val: -1}, {Row: 3, Col: 3, Val: 4},
+	})
+	if _, err := acc.BeginSession(a3); err != nil {
 		t.Fatal(err)
 	}
 	if got := dev.Rebuilds(); got <= base {
-		t.Fatalf("new matrix did not rebuild: still %d rebuilds", got)
+		t.Fatalf("new sparsity did not rebuild: still %d rebuilds", got)
+	}
+}
+
+// TestTrialStagesPruneUnconnectedUnits pins the trial-stage pruning on
+// the n=16 datapath behind a tridiagonal system: of the chip's 320
+// net-driving ops only the 140 that reach an integrator input run in the
+// RK4 trial stages, and the other 180 only in the record pass. A change
+// that silently undoes the pruning (or prunes an op the integrators see)
+// moves these counts.
+func TestTrialStagesPruneUnconnectedUnits(t *testing.T) {
+	acc, dev, err := NewSimulated(chip.ScaledSpec(16, 12, 20e3, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := acc.BeginSession(la.Tridiag(16, -1, 4, -1)); err != nil {
+		t.Fatal(err)
+	}
+	trial, rec, silent := dev.Sim().OpRegions()
+	if trial != 140 || rec != 180 || silent != 0 {
+		t.Fatalf("op regions (trial, record-only, silent) = (%d, %d, %d), want (140, 180, 0)", trial, rec, silent)
 	}
 }
 

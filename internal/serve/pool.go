@@ -55,7 +55,7 @@ type PoolConfig struct {
 	// rows; denser rows escalate to a larger class).
 	MulsPerMB int
 	// Engine names the simulation kernel every pooled chip runs on
-	// ("auto", "interpreter", "compiled", "fused"; empty = auto). All
+	// ("auto", "interpreter", "fused"; empty = auto). All
 	// engines are bit-identical; this is the daemon's speed/debug knob.
 	Engine string
 	// SimWorkers bounds each chip's fused-engine worker pool (0 = auto).

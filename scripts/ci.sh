@@ -84,9 +84,20 @@ go run ./scripts/smoke -alad "$BIN/alad" -alasolve "$BIN/alasolve"
 # Engine equivalence: the fused kernel's parallel path is schedule-dependent
 # by construction (per-level worker chunks) but must stay bit-identical to
 # serial; -count=2 under -race shakes interleavings. The fuzz seed corpora
-# replay the checked-in differential cases through all three engines and
-# through lane widths 1/2/7/16 (16 is the AVX2 kernel path on amd64), and
+# replay the checked-in differential cases through the interpreter and the
+# serial, parallel and lane fused paths, and through lane widths 1/2/7/16
+# (16 is the AVX2 kernel path on amd64), and
 # the core lane-batch differentials hold wave answers equal to scalar
 # solves end-to-end.
 go test -race -count=2 -run 'Fused|Lane|EngineEquivalence|Fuzz' ./internal/circuit
 go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
+
+# Trial-stage pruning: the RK4 trial stages evaluate only the ops that
+# reach an integrator, so the interpreter ≡ fused ≡ lanes differentials
+# (randomized netlists, the record-only cone netlist, the settle
+# patterns) and the chip's commit/lane-wave tests run twice more, and
+# both engine fuzzers explore past their seed corpora for 10 s each.
+go test -count=2 -run 'MatchesReference|SettlesIdentically|Cone|Equivalence' ./internal/circuit
+go test -count=2 ./internal/chip
+go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 10s ./internal/circuit
+go test -run '^$' -fuzz '^FuzzLaneEquivalence$' -fuzztime 10s ./internal/circuit

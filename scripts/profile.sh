@@ -6,7 +6,7 @@
 #
 # Usage: scripts/profile.sh [bench-regex] [benchtime]
 #
-#   scripts/profile.sh                          # settle loop, compiled + reference
+#   scripts/profile.sh                          # settle loop, fused + reference
 #   scripts/profile.sh 'Eval128Fused' 3s        # fused kernel eval at 128x128
 #
 # Artifacts land in profiles/: cpu.out (pprof), circuit.test (the binary
