@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"analogacc/internal/serve"
 )
 
 // Metrics is the router tier's observability: where requests were routed
@@ -24,23 +26,9 @@ type Metrics struct {
 	blockOut atomic.Int64 // block batches scattered to peers
 	blockIn  atomic.Int64 // block items in those batches
 
-	latBounds []float64
 	// One histogram per route class, same buckets: tail latency of a
 	// forwarded request vs a local one is the routing tax made visible.
-	lat map[string]*histogram
-}
-
-type histogram struct {
-	counts []atomic.Int64
-	sumUs  atomic.Int64
-	n      atomic.Int64
-}
-
-func (h *histogram) observe(bounds []float64, d time.Duration) {
-	i := sort.SearchFloat64s(bounds, d.Seconds())
-	h.counts[i].Add(1)
-	h.sumUs.Add(d.Microseconds())
-	h.n.Add(1)
+	lat map[string]*serve.Histogram
 }
 
 // Route labels, also stamped into SolveResponse.Affinity.
@@ -53,10 +41,9 @@ const (
 
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	bounds := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	m := &Metrics{latBounds: bounds, lat: make(map[string]*histogram)}
+	m := &Metrics{lat: make(map[string]*serve.Histogram)}
 	for _, r := range []string{RouteLocal, RouteHit, RouteFallback, RouteRandom} {
-		m.lat[r] = &histogram{counts: make([]atomic.Int64, len(bounds)+1)}
+		m.lat[r] = serve.NewHistogram(serve.LatencyBounds, true)
 	}
 	return m
 }
@@ -75,7 +62,7 @@ func (m *Metrics) Routed(route string, d time.Duration) {
 	default:
 		return
 	}
-	m.lat[route].observe(m.latBounds, d)
+	m.lat[route].ObserveDuration(d)
 }
 
 // ForwardError records a forward that failed over to the next candidate.
@@ -152,15 +139,6 @@ func (m *Metrics) writeTo(w io.Writer, self string, peers []PeerInfo, localHits,
 
 	fmt.Fprint(w, "# TYPE alad_fed_request_seconds histogram\n")
 	for _, route := range []string{RouteLocal, RouteHit, RouteFallback, RouteRandom} {
-		h := m.lat[route]
-		var cum int64
-		for i, bound := range m.latBounds {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "alad_fed_request_seconds_bucket{route=%q,le=\"%g\"} %d\n", route, bound, cum)
-		}
-		cum += h.counts[len(m.latBounds)].Load()
-		fmt.Fprintf(w, "alad_fed_request_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, cum)
-		fmt.Fprintf(w, "alad_fed_request_seconds_sum{route=%q} %g\n", route, float64(h.sumUs.Load())/1e6)
-		fmt.Fprintf(w, "alad_fed_request_seconds_count{route=%q} %d\n", route, h.n.Load())
+		m.lat[route].Render(w, "alad_fed_request_seconds", fmt.Sprintf("route=%q", route))
 	}
 }

@@ -18,7 +18,8 @@
 // job goes back to the queue for another attempt — at its original
 // submit position, so re-queues never reorder the backlog.
 //
-// Durability invariants (see wal.go for the record format):
+// Durability invariants (see internal/journal for the record format
+// and the damage rule):
 //
 //   - every state transition is appended to the journal before the
 //     in-memory state changes are visible to callers; submissions and

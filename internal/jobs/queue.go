@@ -2,12 +2,15 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"analogacc/internal/journal"
 )
 
 // Config sizes a queue. The zero value gives a memory-only queue with
@@ -92,7 +95,7 @@ type Queue struct {
 	cfg Config
 
 	mu   sync.Mutex
-	wal  *wal // nil in memory-only mode
+	wal  *journal.Journal // nil in memory-only mode
 	jobs map[string]*Job
 	// pending holds queued job IDs per tenant, each FIFO by SubmitSeq;
 	// rrOrder/rrNext implement round-robin fairness across tenants
@@ -125,8 +128,8 @@ type Queue struct {
 }
 
 // Open loads (or creates) the queue at cfg.Path: replay, lease
-// reclamation, then snapshot compaction. A corrupt journal (checksum or
-// decode failure anywhere but a torn tail) fails Open.
+// reclamation, then snapshot compaction. A torn tail is dropped and
+// counted; any other damage fails Open and leaves the file untouched.
 func Open(cfg Config) (*Queue, error) {
 	cfg = cfg.withDefaults()
 	q := &Queue{
@@ -148,45 +151,58 @@ func Open(cfg Config) (*Queue, error) {
 			return nil, fmt.Errorf("jobs: creating journal directory: %w", err)
 		}
 	}
-	recs, torn, err := readWAL(cfg.Path)
+	replayed := 0
+	j, torn, err := journal.Open(cfg.Path, walMagic, func(payload []byte) error {
+		replayed++
+		return q.replayRecord(payload)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 	q.tornDropped = int64(torn)
-	if err := q.replay(recs); err != nil {
+	if err := q.reclaim(); err != nil {
 		return nil, err
 	}
-	w, err := rewriteWAL(cfg.Path, q.snapshotRecords())
+	snap, err := q.snapshotRecords()
+	if err == nil {
+		err = j.Compact(snap)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("jobs: compacting journal: %w", err)
 	}
-	q.wal = w
-	if len(recs) > 0 {
+	q.wal = j
+	if replayed > 0 {
 		q.compactions++
 	}
 	return q, nil
 }
 
-// replay applies journal records in order, then reclaims orphaned
-// leases: the process that held every lease is the one that died, so
-// leased/running jobs go back to queued (or to cancelled if their
-// cancellation was already requested) with attempts preserved.
-func (q *Queue) replay(recs []walRecord) error {
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Op == opMeta {
-			if rec.NextSeq > q.nextSeq {
-				q.nextSeq = rec.NextSeq
-			}
-			continue
-		}
-		if err := q.applyLocked(rec); err != nil {
-			return fmt.Errorf("jobs: replaying record %d (%s %s): %w", i, rec.Op, rec.ID, err)
-		}
-		if rec.Seq >= q.nextSeq {
-			q.nextSeq = rec.Seq + 1
-		}
+// replayRecord decodes and applies one journal record in file order. A
+// record that does not decode, or describes an impossible transition,
+// makes the journal corrupt.
+func (q *Queue) replayRecord(payload []byte) error {
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return err
 	}
+	if rec.Op == opMeta {
+		q.nextSeq = max(q.nextSeq, rec.NextSeq)
+		return nil
+	}
+	if err := q.applyLocked(&rec); err != nil {
+		return fmt.Errorf("%s %s: %w", rec.Op, rec.ID, err)
+	}
+	if rec.Seq >= q.nextSeq {
+		q.nextSeq = rec.Seq + 1
+	}
+	return nil
+}
+
+// reclaim runs after replay: the process that held every lease is the
+// one that died, so leased/running jobs go back to queued (or to
+// cancelled if their cancellation was already requested) with attempts
+// preserved.
+func (q *Queue) reclaim() error {
 	q.replayed = int64(len(q.jobs))
 
 	// Reclaim orphaned leases deterministically (submit order).
@@ -221,18 +237,24 @@ func (q *Queue) replay(recs []walRecord) error {
 
 // snapshotRecords renders live state as a compact journal: one meta
 // record, then every retained job as a snap record in submit order.
-func (q *Queue) snapshotRecords() []walRecord {
+func (q *Queue) snapshotRecords() ([][]byte, error) {
 	all := make([]*Job, 0, len(q.jobs))
 	for _, j := range q.jobs {
 		all = append(all, j)
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].SubmitSeq < all[b].SubmitSeq })
-	recs := make([]walRecord, 0, len(all)+1)
-	recs = append(recs, walRecord{Op: opMeta, NextSeq: q.nextSeq})
+	recs := []walRecord{{Op: opMeta, NextSeq: q.nextSeq}}
 	for _, j := range all {
 		recs = append(recs, walRecord{Seq: j.SubmitSeq, Op: opSnap, ID: j.ID, Job: j})
 	}
-	return recs
+	out := make([][]byte, len(recs))
+	for i := range recs {
+		var err error
+		if out[i], err = json.Marshal(&recs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // applyLocked is the single source of truth for state mutation: live
@@ -364,12 +386,14 @@ func (q *Queue) commit(rec *walRecord, sync bool) error {
 	if err := q.applyLocked(rec); err != nil {
 		return err
 	}
-	if q.wal != nil {
-		if err := q.wal.append(rec, sync); err != nil {
-			return err
-		}
+	if q.wal == nil {
+		return nil
 	}
-	return nil
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("jobs: encoding wal record: %w", err)
+	}
+	return q.wal.Append(payload, sync)
 }
 
 // wakeWorkers nudges one idle worker without blocking.
@@ -867,7 +891,7 @@ func (q *Queue) Close() error {
 	q.closed = true
 	close(q.closedCh)
 	if q.wal != nil {
-		return q.wal.close()
+		return q.wal.Close()
 	}
 	return nil
 }
@@ -904,8 +928,7 @@ func (q *Queue) Stats() Stats {
 		}
 	}
 	if q.wal != nil {
-		s.WALRecords = q.wal.records
-		s.WALBytes = q.wal.bytes
+		s.WALRecords, s.WALBytes = q.wal.Stats()
 	}
 	return s
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"analogacc/internal/journal/journaltest"
 )
 
 func testConfig(t *testing.T, path string) Config {
@@ -184,5 +186,75 @@ func TestWALBootCompactionBoundsJournal(t *testing.T) {
 	q3 := mustOpen(t, testConfig(t, path))
 	if s := q3.Stats(); s.Done != 10 || s.Queued != 0 {
 		t.Fatalf("state after double restart: %+v", s)
+	}
+}
+
+// TestWALDamageTable runs the shared journal fault-injection table
+// through Open: a 3-record journal (meta + two submits) truncated at
+// every byte and with every byte flipped must either replay exactly the
+// jobs before the damage or fail Open with the file untouched.
+func TestWALDamageTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	q := mustOpen(t, testConfig(t, path))
+	jobs := []*Job{mustSubmit(t, q, "a", 1, "p1"), mustSubmit(t, q, "b", 2, "p2")}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaltest.Run(t, path, raw, len(walMagic), func(t *testing.T, intact int) error {
+		q, err := Open(testConfig(t, path))
+		if err != nil {
+			return err
+		}
+		defer q.Close()
+		want := max(intact-1, 0) // record 0 is the meta record
+		if s := q.Stats(); s.Replayed != int64(want) {
+			t.Fatalf("replayed %d jobs, want the %d before the damage", s.Replayed, want)
+		}
+		for _, j := range jobs[:want] {
+			if g, ok := q.Get(j.ID); !ok || string(g.Payload) != string(j.Payload) {
+				t.Fatalf("job %s replayed as %+v", j.ID, g)
+			}
+		}
+		return nil
+	})
+}
+
+// TestWALReplaysFormatFixture replays testdata/aladwal1.wal, a journal
+// written before the framing moved into internal/journal (transition by
+// transition, never compacted): the on-disk format must not change.
+func TestWALReplaysFormatFixture(t *testing.T) {
+	raw, err := os.ReadFile("testdata/aladwal1.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q := mustOpen(t, testConfig(t, path))
+	for _, want := range []Job{
+		{ID: "j-00000000", Tenant: "a", Fingerprint: 1, Payload: []byte("p1"), State: StateDone, Attempts: 1, Result: []byte("r1")},
+		{ID: "j-00000004", Tenant: "b", Fingerprint: 2, Payload: []byte("p2"), State: StateFailed, Attempts: 1, ErrCode: "bad_request", ErrMsg: "boom"},
+		{ID: "j-00000008", Tenant: "a", Fingerprint: 3, Payload: []byte("p3"), State: StateCancelled, ErrCode: "cancelled", ErrMsg: "cancelled before execution"},
+		// Leased when the journal was closed: reclaimed to queued.
+		{ID: "j-0000000a", Tenant: "b", Fingerprint: 4, Payload: []byte("p4"), State: StateQueued, Attempts: 1},
+		{ID: "j-0000000c", Tenant: "a", Fingerprint: 5, Payload: []byte("p5"), State: StateQueued},
+	} {
+		g, ok := q.Get(want.ID)
+		if !ok {
+			t.Fatalf("job %s missing from the replayed fixture", want.ID)
+		}
+		if g.Tenant != want.Tenant || g.Fingerprint != want.Fingerprint || string(g.Payload) != string(want.Payload) || g.State != want.State ||
+			g.Attempts != want.Attempts || string(g.Result) != string(want.Result) ||
+			g.ErrCode != want.ErrCode || g.ErrMsg != want.ErrMsg {
+			t.Fatalf("job %s replayed as %+v, want %+v", want.ID, g, want)
+		}
+	}
+	if s := q.Stats(); s.Replayed != 5 || s.LeaseExpired != 1 || s.TornDropped != 0 {
+		t.Fatalf("fixture replay stats: %+v", s)
 	}
 }

@@ -48,11 +48,8 @@ type Metrics struct {
 	solves        map[string]int64 // by backend
 	analogSeconds float64
 
-	// Latency histogram (seconds, cumulative le-buckets + +Inf).
-	latBounds []float64
-	latCounts []atomic.Int64
-	latSum    atomic.Int64 // microseconds, to stay atomic
-	latN      atomic.Int64
+	// Request latency (seconds).
+	latency *Histogram
 
 	// ewmaUs is an exponentially-weighted moving average of request
 	// latency (microseconds, α=1/5): the "typical recent service time"
@@ -61,10 +58,8 @@ type Metrics struct {
 	// process-lifetime history.
 	ewmaUs atomic.Int64
 
-	// Per-sweep latency histogram for decomposed solves (same buckets).
-	sweepCounts []atomic.Int64
-	sweepSum    atomic.Int64 // microseconds
-	sweepN      atomic.Int64
+	// Per-sweep latency for decomposed solves.
+	sweep *Histogram
 
 	// Coalescer traffic. waves counts fired waves by close reason;
 	// coalescedReqs counts requests that shared a wave with at least one
@@ -75,14 +70,8 @@ type Metrics struct {
 	wavesFull     atomic.Int64
 	wavesResident atomic.Int64
 	coalescedReqs atomic.Int64
-	waveBounds    []float64 // lanes-per-wave le-bucket bounds
-	waveCounts    []atomic.Int64
-	waveLanesSum  atomic.Int64
-	waveN         atomic.Int64
-	waitBounds    []float64 // seconds
-	waitCounts    []atomic.Int64
-	waitSum       atomic.Int64 // microseconds
-	waitN         atomic.Int64
+	waveLanes     *Histogram
+	coalesceWait  *Histogram
 
 	// detachedLanes gauges in-flight solves holding no admission slot
 	// (async-job executions): queue depth alone understates load when the
@@ -93,22 +82,67 @@ type Metrics struct {
 	// NewMetrics and never mutated after, so lookups are lock-free; the
 	// histograms make the by-reference byte win observable on /metrics,
 	// not just in BENCH_9.
-	byteBounds []float64
-	reqBytes   map[string]*byteHist
-	respBytes  map[string]*byteHist
+	reqBytes  map[string]*Histogram
+	respBytes map[string]*Histogram
 
-	// Registration latency histogram (registry PUTs, same second bounds
-	// as request latency).
-	regCounts []atomic.Int64
-	regSum    atomic.Int64 // microseconds
-	regN      atomic.Int64
+	// Registration latency (registry PUTs).
+	register *Histogram
 }
 
-// byteHist is one route's body-size histogram (bytes, le-buckets + +Inf).
-type byteHist struct {
-	counts []atomic.Int64
-	sum    atomic.Int64
-	n      atomic.Int64
+// Histogram is a cumulative-bucket histogram rendered in the Prometheus
+// text format. A seconds histogram observes durations and keeps its sum
+// in microseconds (rendered %g seconds); any other observes integers
+// (lanes, bytes) and renders an integer sum. Safe for concurrent use.
+type Histogram struct {
+	bounds  []float64
+	counts  []atomic.Int64 // one per bound, then +Inf
+	sum     atomic.Int64
+	n       atomic.Int64
+	seconds bool
+}
+
+// LatencyBounds are the le-bucket bounds (seconds) every request- and
+// sweep-latency histogram shares.
+var LatencyBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+
+// NewHistogram returns an empty histogram over the given upper bounds.
+func NewHistogram(bounds []float64, seconds bool) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1), seconds: seconds}
+}
+
+// Observe records one integer observation.
+func (h *Histogram) Observe(v int64) { h.add(float64(v), v) }
+
+// ObserveDuration records one latency.
+func (h *Histogram) ObserveDuration(d time.Duration) { h.add(d.Seconds(), d.Microseconds()) }
+
+func (h *Histogram) add(v float64, sum int64) {
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	h.sum.Add(sum)
+	h.n.Add(1)
+}
+
+// Render writes the series' _bucket, _sum and _count lines; labels (""
+// or e.g. `route="solve"`) precede le. The caller writes the # TYPE line
+// once per metric family.
+func (h *Histogram) Render(w io.Writer, name, labels string) {
+	sel, open := "", "{"
+	if labels != "" {
+		sel, open = "{"+labels+"}", "{"+labels+","
+	}
+	var cum int64
+	for i, bound := range h.bounds {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(w, "%s_bucket%sle=\"%g\"} %d\n", name, open, bound, cum)
+	}
+	cum += h.counts[len(h.bounds)].Load()
+	fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", name, open, cum)
+	if h.seconds {
+		fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, float64(h.sum.Load())/1e6)
+	} else {
+		fmt.Fprintf(w, "%s_sum%s %d\n", name, sel, h.sum.Load())
+	}
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, h.n.Load())
 }
 
 // byteRoutes are the labeled wire paths. Fixed at build time so the
@@ -117,28 +151,21 @@ var byteRoutes = []string{"solve", "solve_batch", "operators", "jobs", "peer_blo
 
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	bounds := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	waveBounds := []float64{1, 2, 4, 8, 16}
-	waitBounds := []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025}
 	byteBounds := []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
 	m := &Metrics{
-		start:       time.Now(),
-		solves:      make(map[string]int64),
-		latBounds:   bounds,
-		latCounts:   make([]atomic.Int64, len(bounds)+1),
-		sweepCounts: make([]atomic.Int64, len(bounds)+1),
-		waveBounds:  waveBounds,
-		waveCounts:  make([]atomic.Int64, len(waveBounds)+1),
-		waitBounds:  waitBounds,
-		waitCounts:  make([]atomic.Int64, len(waitBounds)+1),
-		byteBounds:  byteBounds,
-		reqBytes:    make(map[string]*byteHist, len(byteRoutes)),
-		respBytes:   make(map[string]*byteHist, len(byteRoutes)),
-		regCounts:   make([]atomic.Int64, len(bounds)+1),
+		start:        time.Now(),
+		solves:       make(map[string]int64),
+		latency:      NewHistogram(LatencyBounds, true),
+		sweep:        NewHistogram(LatencyBounds, true),
+		register:     NewHistogram(LatencyBounds, true),
+		waveLanes:    NewHistogram([]float64{1, 2, 4, 8, 16}, false),
+		coalesceWait: NewHistogram([]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025}, true),
+		reqBytes:     make(map[string]*Histogram, len(byteRoutes)),
+		respBytes:    make(map[string]*Histogram, len(byteRoutes)),
 	}
 	for _, route := range byteRoutes {
-		m.reqBytes[route] = &byteHist{counts: make([]atomic.Int64, len(byteBounds)+1)}
-		m.respBytes[route] = &byteHist{counts: make([]atomic.Int64, len(byteBounds)+1)}
+		m.reqBytes[route] = NewHistogram(byteBounds, false)
+		m.respBytes[route] = NewHistogram(byteBounds, false)
 	}
 	return m
 }
@@ -149,22 +176,15 @@ func NewMetrics() *Metrics {
 // lock-free because their shape is fixed.
 func (m *Metrics) ObserveRequestBytes(route string, n int64) {
 	if h, ok := m.reqBytes[route]; ok {
-		h.observe(m.byteBounds, n)
+		h.Observe(n)
 	}
 }
 
 // ObserveResponseBytes records one response body's wire size.
 func (m *Metrics) ObserveResponseBytes(route string, n int64) {
 	if h, ok := m.respBytes[route]; ok {
-		h.observe(m.byteBounds, n)
+		h.Observe(n)
 	}
-}
-
-func (h *byteHist) observe(bounds []float64, n int64) {
-	i := sort.SearchFloat64s(bounds, float64(n))
-	h.counts[i].Add(1)
-	h.sum.Add(n)
-	h.n.Add(1)
 }
 
 // RequestBytes reads one route's request-byte total and observation count
@@ -177,12 +197,7 @@ func (m *Metrics) RequestBytes(route string) (sum, count int64) {
 }
 
 // ObserveRegistration records one operator registration's latency.
-func (m *Metrics) ObserveRegistration(d time.Duration) {
-	i := sort.SearchFloat64s(m.latBounds, d.Seconds())
-	m.regCounts[i].Add(1)
-	m.regSum.Add(d.Microseconds())
-	m.regN.Add(1)
-}
+func (m *Metrics) ObserveRegistration(d time.Duration) { m.register.ObserveDuration(d) }
 
 // Rejected records one 429.
 func (m *Metrics) Rejected() { m.rejected.Add(1) }
@@ -216,11 +231,7 @@ func (m *Metrics) SolveOK(backend string, analogSeconds float64, runs, rescales,
 
 // ObserveLatency records one request's wall-clock solve latency.
 func (m *Metrics) ObserveLatency(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(m.latBounds, s)
-	m.latCounts[i].Add(1)
-	m.latSum.Add(d.Microseconds())
-	m.latN.Add(1)
+	m.latency.ObserveDuration(d)
 	// Lossy-on-race CAS update is fine: the EWMA is a hint, not a ledger.
 	us := d.Microseconds()
 	for {
@@ -242,13 +253,7 @@ func (m *Metrics) AvgServiceTime() time.Duration {
 }
 
 // ObserveSweep records one decomposed outer sweep's wall-clock latency.
-func (m *Metrics) ObserveSweep(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(m.latBounds, s)
-	m.sweepCounts[i].Add(1)
-	m.sweepSum.Add(d.Microseconds())
-	m.sweepN.Add(1)
-}
+func (m *Metrics) ObserveSweep(d time.Duration) { m.sweep.ObserveDuration(d) }
 
 // BatchRHS records the right-hand-side count of one batch request.
 func (m *Metrics) BatchRHS(n int) { m.batchRHS.Add(int64(n)) }
@@ -265,20 +270,12 @@ func (m *Metrics) ObserveWave(lanes int, reason string) {
 	default:
 		m.wavesWindow.Add(1)
 	}
-	i := sort.SearchFloat64s(m.waveBounds, float64(lanes))
-	m.waveCounts[i].Add(1)
-	m.waveLanesSum.Add(int64(lanes))
-	m.waveN.Add(1)
+	m.waveLanes.Observe(int64(lanes))
 }
 
 // ObserveCoalesceWait records the latency the coalescing window added to
 // one member (enrollment → wave launch).
-func (m *Metrics) ObserveCoalesceWait(d time.Duration) {
-	i := sort.SearchFloat64s(m.waitBounds, d.Seconds())
-	m.waitCounts[i].Add(1)
-	m.waitSum.Add(d.Microseconds())
-	m.waitN.Add(1)
-}
+func (m *Metrics) ObserveCoalesceWait(d time.Duration) { m.coalesceWait.ObserveDuration(d) }
 
 // CoalescedRequest records one request served from a shared (≥2-lane)
 // wave.
@@ -299,7 +296,7 @@ func (m *Metrics) DetachedLanes() int64 { return m.detachedLanes.Load() }
 func (m *Metrics) CoalescedRequests() int64 { return m.coalescedReqs.Load() }
 
 // Waves reads the fired-wave counter (tests).
-func (m *Metrics) Waves() int64 { return m.waveN.Load() }
+func (m *Metrics) Waves() int64 { return m.waveLanes.n.Load() }
 
 // DecomposedOK records a completed decomposed solve's fan-out volume and
 // its pinned-session economy.
@@ -413,13 +410,13 @@ func (m *Metrics) snapshot(queueDepth int, pool *Pool, jq *jobs.Queue, reg *opRe
 	s.AnalogSeconds = m.analogSeconds
 	m.mu.Unlock()
 	s.BatchRHS = m.batchRHS.Load()
-	s.Waves = m.waveN.Load()
+	s.Waves = m.waveLanes.n.Load()
 	s.WavesClosedWindow = m.wavesWindow.Load()
 	s.WavesClosedFull = m.wavesFull.Load()
 	s.WavesClosedWarm = m.wavesResident.Load()
 	s.CoalescedRequests = m.coalescedReqs.Load()
 	if s.Waves > 0 {
-		s.WaveMeanLanes = float64(m.waveLanesSum.Load()) / float64(s.Waves)
+		s.WaveMeanLanes = float64(m.waveLanes.sum.Load()) / float64(s.Waves)
 	}
 	s.DetachedLanes = m.detachedLanes.Load()
 	if pool != nil {
@@ -524,25 +521,9 @@ func (m *Metrics) writeTo(w io.Writer, queueDepth int, pool *Pool, jq *jobs.Queu
 	fmt.Fprintf(w, "# TYPE alad_jobs_wal_bytes gauge\nalad_jobs_wal_bytes %d\n", s.Jobs.WALBytes)
 	fmt.Fprintf(w, "# TYPE alad_service_time_ewma_seconds gauge\nalad_service_time_ewma_seconds %g\n", m.AvgServiceTime().Seconds())
 	fmt.Fprint(w, "# TYPE alad_request_seconds histogram\n")
-	var cum int64
-	for i, bound := range m.latBounds {
-		cum += m.latCounts[i].Load()
-		fmt.Fprintf(w, "alad_request_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.latCounts[len(m.latBounds)].Load()
-	fmt.Fprintf(w, "alad_request_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_request_seconds_sum %g\n", float64(m.latSum.Load())/1e6)
-	fmt.Fprintf(w, "alad_request_seconds_count %d\n", m.latN.Load())
+	m.latency.Render(w, "alad_request_seconds", "")
 	fmt.Fprint(w, "# TYPE alad_sweep_seconds histogram\n")
-	cum = 0
-	for i, bound := range m.latBounds {
-		cum += m.sweepCounts[i].Load()
-		fmt.Fprintf(w, "alad_sweep_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.sweepCounts[len(m.latBounds)].Load()
-	fmt.Fprintf(w, "alad_sweep_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_sweep_seconds_sum %g\n", float64(m.sweepSum.Load())/1e6)
-	fmt.Fprintf(w, "alad_sweep_seconds_count %d\n", m.sweepN.Load())
+	m.sweep.Render(w, "alad_sweep_seconds", "")
 	fmt.Fprintf(w, "# TYPE alad_coalesced_requests_total counter\nalad_coalesced_requests_total %d\n", s.CoalescedRequests)
 	fmt.Fprint(w, "# TYPE alad_waves_closed_total counter\n")
 	fmt.Fprintf(w, "alad_waves_closed_total{reason=\"window\"} %d\n", s.WavesClosedWindow)
@@ -550,25 +531,9 @@ func (m *Metrics) writeTo(w io.Writer, queueDepth int, pool *Pool, jq *jobs.Queu
 	fmt.Fprintf(w, "alad_waves_closed_total{reason=\"resident\"} %d\n", s.WavesClosedWarm)
 	fmt.Fprintf(w, "# TYPE alad_detached_lanes gauge\nalad_detached_lanes %d\n", s.DetachedLanes)
 	fmt.Fprint(w, "# TYPE alad_wave_lanes histogram\n")
-	cum = 0
-	for i, bound := range m.waveBounds {
-		cum += m.waveCounts[i].Load()
-		fmt.Fprintf(w, "alad_wave_lanes_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.waveCounts[len(m.waveBounds)].Load()
-	fmt.Fprintf(w, "alad_wave_lanes_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_wave_lanes_sum %d\n", m.waveLanesSum.Load())
-	fmt.Fprintf(w, "alad_wave_lanes_count %d\n", m.waveN.Load())
+	m.waveLanes.Render(w, "alad_wave_lanes", "")
 	fmt.Fprint(w, "# TYPE alad_coalesce_wait_seconds histogram\n")
-	cum = 0
-	for i, bound := range m.waitBounds {
-		cum += m.waitCounts[i].Load()
-		fmt.Fprintf(w, "alad_coalesce_wait_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.waitCounts[len(m.waitBounds)].Load()
-	fmt.Fprintf(w, "alad_coalesce_wait_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_coalesce_wait_seconds_sum %g\n", float64(m.waitSum.Load())/1e6)
-	fmt.Fprintf(w, "alad_coalesce_wait_seconds_count %d\n", m.waitN.Load())
+	m.coalesceWait.Render(w, "alad_coalesce_wait_seconds", "")
 	fmt.Fprintf(w, "# TYPE alad_registry_operators gauge\nalad_registry_operators %d\n", s.RegistryOps)
 	fmt.Fprintf(w, "# TYPE alad_registry_bytes gauge\nalad_registry_bytes %d\n", s.RegistryBytes)
 	fmt.Fprintf(w, "# TYPE alad_registry_pinned_operators gauge\nalad_registry_pinned_operators %d\n", s.RegistryPinned)
@@ -577,32 +542,15 @@ func (m *Metrics) writeTo(w io.Writer, queueDepth int, pool *Pool, jq *jobs.Queu
 	fmt.Fprintf(w, "# TYPE alad_registry_evictions_total counter\nalad_registry_evictions_total %d\n", s.RegistryEvictions)
 	fmt.Fprintf(w, "# TYPE alad_registry_registrations_total counter\nalad_registry_registrations_total %d\n", s.RegistryRegistrations)
 	fmt.Fprint(w, "# TYPE alad_registry_register_seconds histogram\n")
-	cum = 0
-	for i, bound := range m.latBounds {
-		cum += m.regCounts[i].Load()
-		fmt.Fprintf(w, "alad_registry_register_seconds_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += m.regCounts[len(m.latBounds)].Load()
-	fmt.Fprintf(w, "alad_registry_register_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "alad_registry_register_seconds_sum %g\n", float64(m.regSum.Load())/1e6)
-	fmt.Fprintf(w, "alad_registry_register_seconds_count %d\n", m.regN.Load())
-	m.writeByteHists(w, "alad_request_bytes", m.reqBytes)
-	m.writeByteHists(w, "alad_response_bytes", m.respBytes)
+	m.register.Render(w, "alad_registry_register_seconds", "")
+	writeByteHists(w, "alad_request_bytes", m.reqBytes)
+	writeByteHists(w, "alad_response_bytes", m.respBytes)
 }
 
 // writeByteHists renders one direction's per-route body-size histograms.
-func (m *Metrics) writeByteHists(w io.Writer, name string, hists map[string]*byteHist) {
+func writeByteHists(w io.Writer, name string, hists map[string]*Histogram) {
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	for _, route := range byteRoutes {
-		h := hists[route]
-		var cum int64
-		for i, bound := range m.byteBounds {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "%s_bucket{route=%q,le=\"%g\"} %d\n", name, route, bound, cum)
-		}
-		cum += h.counts[len(m.byteBounds)].Load()
-		fmt.Fprintf(w, "%s_bucket{route=%q,le=\"+Inf\"} %d\n", name, route, cum)
-		fmt.Fprintf(w, "%s_sum{route=%q} %d\n", name, route, h.sum.Load())
-		fmt.Fprintf(w, "%s_count{route=%q} %d\n", name, route, h.n.Load())
+		hists[route].Render(w, name, fmt.Sprintf("route=%q", route))
 	}
 }

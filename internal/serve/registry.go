@@ -1,18 +1,14 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 
+	"analogacc/internal/journal"
 	"analogacc/internal/la"
 )
 
@@ -33,11 +29,12 @@ import (
 // registry hit — the pool then finds or rebuilds the programming as usual.
 //
 // When the server runs with a durable job store, the registry journals
-// registrations beside it (JobStore + ".ops") so crash replay of
-// by-reference job payloads re-resolves: the WAL frame holds O(n), the
-// operator store holds the O(nnz) matrix exactly once.
+// registrations beside it (JobStore + ".ops", an internal/journal file of
+// JSON wireOperator records) so crash replay of by-reference job payloads
+// re-resolves: the WAL frame holds O(n), the operator store holds the
+// O(nnz) matrix exactly once.
 
-// opsMagic heads the registry journal; bump it on any frame format change.
+// opsMagic heads the registry journal; bump it on any record format change.
 const opsMagic = "ALADOPS1"
 
 // errRegistryCapacity marks an operator whose cost alone exceeds the
@@ -78,8 +75,7 @@ type opRegistry struct {
 	// Journal (nil when the registry is memory-only). appends counts
 	// records written since the last compaction; when it exceeds
 	// 2×maxOps the journal is rewritten with only the survivors.
-	journal *os.File
-	path    string
+	journal *journal.Journal
 	appends int
 
 	hits          atomic.Int64
@@ -105,7 +101,6 @@ func openRegistry(maxOps int, maxBytes int64, path string, pins map[uint64]int) 
 		maxBytes: maxBytes,
 		ops:      make(map[uint64]*opEntry),
 		lru:      list.New(),
-		path:     path,
 		pins:     make(map[uint64]int),
 	}
 	for fp, n := range pins {
@@ -116,19 +111,16 @@ func openRegistry(maxOps int, maxBytes int64, path string, pins map[uint64]int) 
 	if path == "" {
 		return r, nil
 	}
-	if err := r.replay(); err != nil {
+	j, _, err := journal.Open(path, opsMagic, r.replayOperator)
+	if err != nil {
 		return nil, err
 	}
 	// Boot compaction: rewrite the journal with only the operators that
 	// survived the caps, dropping torn tails and evicted duplicates.
+	r.journal = j
 	if err := r.compactLocked(); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	r.journal = f
 	return r, nil
 }
 
@@ -139,48 +131,24 @@ type wireOperator struct {
 	A []Entry `json:"A"`
 }
 
-// replay loads every intact journal frame, registering each operator
-// through the normal LRU path (caps apply — a journal larger than the
-// store keeps only the most recently appended survivors). A torn or
-// corrupt tail ends the replay silently: everything before it is good,
-// and the boot compaction rewrites the file without it.
-func (r *opRegistry) replay() error {
-	raw, err := os.ReadFile(r.path)
-	if os.IsNotExist(err) {
-		return nil
+// replayOperator registers one journaled operator through the normal LRU
+// path (caps apply — a journal larger than the store keeps only the most
+// recently appended survivors). A record that does not decode to a valid
+// matrix makes the journal corrupt.
+func (r *opRegistry) replayOperator(payload []byte) error {
+	var op wireOperator
+	if err := json.Unmarshal(payload, &op); err != nil {
+		return err
 	}
+	entries := make([]la.COOEntry, len(op.A))
+	for i, e := range op.A {
+		entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
+	}
+	a, err := la.NewCSR(op.N, entries)
 	if err != nil {
 		return err
 	}
-	if len(raw) < len(opsMagic) || string(raw[:len(opsMagic)]) != opsMagic {
-		return nil // unknown or empty file: start fresh, compaction rewrites it
-	}
-	raw = raw[len(opsMagic):]
-	for len(raw) >= 8 {
-		size := binary.LittleEndian.Uint32(raw[0:4])
-		sum := binary.LittleEndian.Uint32(raw[4:8])
-		if int(size) > len(raw)-8 {
-			break // torn tail
-		}
-		payload := raw[8 : 8+size]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		raw = raw[8+size:]
-		var op wireOperator
-		if json.Unmarshal(payload, &op) != nil {
-			continue
-		}
-		entries := make([]la.COOEntry, len(op.A))
-		for i, e := range op.A {
-			entries[i] = la.COOEntry{Row: e.Row, Col: e.Col, Val: e.Val}
-		}
-		a, err := la.NewCSR(op.N, entries)
-		if err != nil {
-			continue
-		}
-		r.insert(la.Fingerprint(a), a, false) // journal == nil: no re-append
-	}
+	r.insert(la.Fingerprint(a), a, false) // journal == nil: no re-append
 	return nil
 }
 
@@ -242,15 +210,6 @@ func (r *opRegistry) registerOpts(a *la.CSR, durable, pin bool) (fp uint64, exis
 		r.pins[fp]++
 	}
 	return fp, false, jerr
-}
-
-// pin takes one pin on a fingerprint without registering anything: the
-// boot path uses it indirectly (openRegistry's pins argument), the live
-// path pins through registerPinned.
-func (r *opRegistry) pin(fp uint64) {
-	r.mu.Lock()
-	r.pins[fp]++
-	r.mu.Unlock()
 }
 
 // unpin releases one pin. When the last pin drops the entry rejoins the
@@ -366,96 +325,44 @@ func (r *opRegistry) appendLocked(a *la.CSR) error {
 	if r.journal == nil {
 		return nil
 	}
-	frame, err := encodeOperatorFrame(a)
+	payload, err := encodeOperator(a)
+	if err == nil {
+		err = r.journal.Append(payload, true)
+	}
+	if errors.Is(err, journal.ErrTooLarge) {
+		return fmt.Errorf("%w: %w", errRegistryCapacity, err)
+	}
 	if err != nil {
 		return err
 	}
-	if _, err := r.journal.Write(frame); err != nil {
-		return err
-	}
-	if err := r.journal.Sync(); err != nil {
-		return err
-	}
-	r.appends++
-	if r.appends > 2*r.maxOps {
-		if err := r.compactLocked(); err != nil {
-			return err
-		}
-		old := r.journal
-		f, err := os.OpenFile(r.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-		if err != nil {
-			// The rename in compactLocked already replaced the path, so the
-			// old handle points at an orphaned inode: appending (and
-			// fsyncing) to it would report success for registrations no
-			// replay will ever see. Degrade to memory-only instead and
-			// surface the failure.
-			old.Close()
-			r.journal = nil
-			return fmt.Errorf("serve: reopening operator journal after compaction (registry degraded to memory-only): %w", err)
-		}
-		old.Close()
-		r.journal = f
+	if r.appends++; r.appends > 2*r.maxOps {
+		return r.compactLocked()
 	}
 	return nil
 }
 
-func encodeOperatorFrame(a *la.CSR) ([]byte, error) {
-	payload, err := json.Marshal(wireOperator{N: a.Dim(), A: MatrixEntries(a)})
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	return buf.Bytes(), nil
+func encodeOperator(a *la.CSR) ([]byte, error) {
+	return json.Marshal(wireOperator{N: a.Dim(), A: MatrixEntries(a)})
 }
 
 // compactLocked rewrites the journal with only the resident operators,
-// LRU-last so a replay that hits the caps keeps the hottest entries:
-// tmp → fsync → rename, the same crash discipline as the jobs WAL.
+// back to front: replay registers in file order, so the MRU entry is
+// appended last and survives any cap squeeze. Ephemeral entries are
+// skipped — they were never promised durability.
 func (r *opRegistry) compactLocked() error {
-	if r.path == "" {
-		return nil
-	}
-	tmp := r.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w := io.Writer(f)
-	if _, err := w.Write([]byte(opsMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	// Back-to-front: replay registers in file order, so the MRU entry is
-	// appended last and survives any cap squeeze. Ephemeral entries are
-	// skipped — they were never promised durability.
+	var recs [][]byte
 	for el := r.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*opEntry)
 		if e.ephemeral {
 			continue
 		}
-		frame, err := encodeOperatorFrame(e.a)
+		payload, err := encodeOperator(e.a)
 		if err != nil {
-			f.Close()
 			return err
 		}
-		if _, err := w.Write(frame); err != nil {
-			f.Close()
-			return err
-		}
+		recs = append(recs, payload)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, r.path); err != nil {
+	if err := r.journal.Compact(recs); err != nil {
 		return err
 	}
 	r.appends = 0
@@ -469,10 +376,7 @@ func (r *opRegistry) close() error {
 	if r.journal == nil {
 		return nil
 	}
-	err := r.journal.Sync()
-	if cerr := r.journal.Close(); err == nil {
-		err = cerr
-	}
+	err := r.journal.Close()
 	r.journal = nil
 	return err
 }

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"analogacc/internal/journal"
+	"analogacc/internal/journal/journaltest"
 	"analogacc/internal/la"
 )
 
@@ -359,5 +363,103 @@ func TestRegistryConcurrentRegisterEvict(t *testing.T) {
 	}
 	if r.registrations.Load() == 0 {
 		t.Fatal("registrations counter never moved")
+	}
+}
+
+// fixtureFingerprints are the operators in testdata/aladops1.ops, a
+// registry journal written before the framing moved into
+// internal/journal: diagOp(4, 1), diagOp(6, 2), diagOp(8, 3), in
+// registration order.
+var fixtureFingerprints = []string{"ca555b8fa1de0c94", "6c644a1ad20ba693", "e78503580cfba4da"}
+
+func copyFixture(t *testing.T, name string) (path string, raw []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(t.TempDir(), "jobs.wal.ops")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, raw
+}
+
+// TestRegistryReplaysFormatFixture: the on-disk format did not change —
+// the fixture replays to the same fingerprints, MRU (last registered)
+// first.
+func TestRegistryReplaysFormatFixture(t *testing.T) {
+	path, _ := copyFixture(t, "aladops1.ops")
+	r, err := openRegistry(8, 1<<30, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	res := r.residents()
+	if len(res) != len(fixtureFingerprints) {
+		t.Fatalf("replayed %d operators, want %d", len(res), len(fixtureFingerprints))
+	}
+	for i, info := range res {
+		if want := fixtureFingerprints[len(fixtureFingerprints)-1-i]; info.Fingerprint != want {
+			t.Fatalf("resident %d is %s, want %s", i, info.Fingerprint, want)
+		}
+	}
+	for i, a := range []*la.CSR{diagOp(4, 1), diagOp(6, 2), diagOp(8, 3)} {
+		if got := FormatFingerprint(la.Fingerprint(a)); got != fixtureFingerprints[i] {
+			t.Fatalf("fingerprint of fixture operator %d is now %s, was %s", i, got, fixtureFingerprints[i])
+		}
+	}
+}
+
+// TestRegistryDamageTable runs the shared journal fault-injection table
+// through openRegistry on the 3-operator fixture: every truncation and
+// every single-byte flip either replays exactly the operators before the
+// damage or fails the boot with the file's bytes unchanged. (Before the
+// registry shared the journal package, a flip in the first record booted
+// holding none of the three and compacted the intact ones away.)
+func TestRegistryDamageTable(t *testing.T) {
+	path, raw := copyFixture(t, "aladops1.ops")
+	journaltest.Run(t, path, raw, len(opsMagic), func(t *testing.T, intact int) error {
+		r, err := openRegistry(8, 1<<30, path, nil)
+		if err != nil {
+			return err
+		}
+		defer r.close()
+		if ops, _ := r.stats(); ops != intact {
+			t.Fatalf("replayed %d operators, want the %d before the damage", ops, intact)
+		}
+		for _, s := range fixtureFingerprints[:intact] {
+			fp, _ := ParseFingerprint(s)
+			if _, ok := r.lookup(fp); !ok {
+				t.Fatalf("operator %s lost", s)
+			}
+		}
+		return nil
+	})
+}
+
+// TestRegistryInvalidOperatorStopsBoot: a record whose checksum is valid
+// but whose matrix is not is corruption, not a record to skip — the boot
+// fails naming the record, and the file is left as it was.
+func TestRegistryInvalidOperatorStopsBoot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ops.journal")
+	j, _, err := journal.Open(path, opsMagic, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := encodeOperator(diagOp(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact([][]byte{good, []byte(`{"n":2,"A":[{"i":5,"j":0,"v":1}]}`)}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	before, _ := os.ReadFile(path)
+	if _, err := openRegistry(8, 1<<30, path, nil); err == nil || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("invalid operator record: err = %v, want a boot error naming record 1", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Fatal("a refused boot rewrote the journal")
 	}
 }

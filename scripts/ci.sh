@@ -32,18 +32,21 @@ go test -race -count=2 -run 'ParallelDecompose|PoolProvider|PoolTryCheckout|Serv
 # matrices races chip adoption against LRU eviction and drift invalidation.
 go test -race -count=2 -run 'PoolAffinity|PoolLRU|PoolCalibrationDrift|PoolCacheStress|PoolPrefersBlank|SolveBatch' ./internal/core ./internal/serve
 
-# Durable job queue: WAL replay, torn-tail and checksum handling, lease
-# expiry determinism, fingerprint dedup, tenant fairness, and the worker
-# loops — all schedule-sensitive, so run twice under -race. The serve-side
-# job API pass covers the HTTP surface, adaptive Retry-After, and the
+# Durable state: internal/journal is the one framing, damage rule and
+# compaction behind both stores (fault-injection table, reopen failure,
+# record bound, FuzzJournalOpen seed corpus). The job queue adds WAL
+# replay through that table, the format fixture, lease expiry
+# determinism, fingerprint dedup, tenant fairness, and the worker loops —
+# all schedule-sensitive, so run twice under -race. The serve-side job
+# API pass covers the HTTP surface, adaptive Retry-After, and the
 # client's 429 retry loop.
-go test -race -count=2 ./internal/jobs
+go test -race -count=2 ./internal/journal/... ./internal/jobs
 go test -race -count=2 -run 'Job|Retry|Busy' ./internal/serve
 
 # Operator registry: concurrent register/lookup racing LRU and
-# byte-cap eviction, journal replay with torn tails, and the
-# by-reference ≡ by-value differentials across solve, batch,
-# decomposed, async-job, and gzip-upload paths.
+# byte-cap eviction, journal replay through the shared damage table and
+# the format fixture, and the by-reference ≡ by-value differentials
+# across solve, batch, decomposed, async-job, and gzip-upload paths.
 go test -race -count=2 -run 'TestRegistry|TestOperator' ./internal/serve
 
 # Micro-batching coalescer: wave formation races enrollment against
@@ -67,7 +70,9 @@ go test -race -count=2 ./internal/federation
 # Finally the crash-replay gauntlet: submit a job against a journal-backed
 # daemon, SIGKILL it mid-solve, restart on the same store, and assert the
 # job completes exactly once, bit-identically, on attempt 2, with the
-# replay/lease/dedup counters visible in /metrics. Then the federation
+# replay/lease/dedup counters visible in /metrics, and a byte flipped in
+# the operator journal stops the next boot with the file untouched. Then
+# the federation
 # gauntlet: a real 3-node cluster routes a repeat operator to its affinity
 # owner from a different entry node (warm hit, cluster counters moving),
 # alasolve prints served-by/affinity provenance, an oversized solve

@@ -5,15 +5,19 @@
 // the daemon and asserts a clean drain — then runs the crash-replay
 // gauntlet: submit an async job against a journal-backed daemon, SIGKILL
 // it mid-solve, restart on the same store, and assert the job completes
-// exactly once with a bit-identical solution. Run by scripts/ci.sh:
+// exactly once with a bit-identical solution, and that a byte flipped
+// inside the operator journal stops the next boot with the file
+// untouched. Run by scripts/ci.sh:
 //
 //	go run ./scripts/smoke -alad /tmp/alad [-alasolve /tmp/alasolve]
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -794,6 +798,51 @@ func crashReplay(ctx context.Context, aladPath string) {
 
 	// And the journal-backed daemon still drains clean.
 	d2.terminate()
+
+	damagedJournalStopsBoot(ctx, aladPath, store)
+}
+
+// damagedJournalStopsBoot flips one byte inside the first record of the
+// operator journal beside store and starts a third daemon on it: boot
+// must fail with a non-zero exit whose stderr names the file and the
+// record's offset, and the damaged file must be left byte-for-byte as
+// it was (mid-file damage is never compacted away).
+func damagedJournalStopsBoot(ctx context.Context, aladPath, store string) {
+	ops := store + ".ops"
+	raw, err := os.ReadFile(ops)
+	if err != nil {
+		die("damage: reading %s: %v", ops, err)
+	}
+	const firstRecord = 8 // just past the magic
+	if len(raw) < firstRecord+8+2 {
+		die("damage: %s holds no operator record (%d bytes)", ops, len(raw))
+	}
+	raw[firstRecord+8+1] ^= 0xff // inside the first payload
+	if err := os.WriteFile(ops, raw, 0o644); err != nil {
+		die("damage: writing %s: %v", ops, err)
+	}
+	bootCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(bootCtx, aladPath, "-addr", "127.0.0.1:0",
+		"-pool", "1", "-warm", "2", "-max-dim", "8", "-engine", "fused", "-store", store)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	fmt.Fprintf(os.Stderr, "[smoke] damaged-journal boot: %s", stderr.String())
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		die("damage: alad on a damaged operator journal did not exit non-zero: %v", err)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, ops) || !strings.Contains(msg, fmt.Sprintf("offset %d", firstRecord)) {
+		die("damage: boot error does not name %s and offset %d: %q", ops, firstRecord, msg)
+	}
+	after, err := os.ReadFile(ops)
+	if err != nil {
+		die("damage: rereading %s: %v", ops, err)
+	}
+	if !bytes.Equal(after, raw) {
+		die("damage: the refused boot rewrote %s", ops)
+	}
 }
 
 func die(format string, args ...any) {
