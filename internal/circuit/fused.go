@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"math"
-	"sort"
-	"sync"
-)
+import "math"
 
 // Fused step kernel. The fused engine executes the lowered program
 // (program.go) without the per-op costs of walking it directly: an opcode
@@ -36,38 +32,14 @@ import (
 //
 // Simulate only what the integrators see. The three RK4 trial stages of a
 // step feed nothing but the integrator derivatives, so they run only the
-// program's trial-live region (the serial stream, or its level-parallel
-// twin): on a chip most units are unconnected, and their ops never reach
-// an integrator. The once-per-step record pass — and Reset's — walks the
+// program's trial-live region (the serial stream): on a chip most units
+// are unconnected, and their ops never reach an integrator. The
+// once-per-step record pass — and Reset's — walks the
 // live stream, then the record-only stream, then the silent ops, with the
 // peak/overflow latches folded into every loop (runSegsRecord, and
 // runSegsLanesRecord for the lane kernel). Record-only ops read live nets
 // that the same pass has just completed, so every net value, ADC code,
 // peak and latch matches an evaluation of the whole program.
-//
-// For large programs the trial kernel instead runs level-parallel: each
-// level's nets are sharded across a bounded worker set, and each
-// worker's share is materialised as its own store/add segment run, so
-// workers execute the very same branch-free loops as the serial kernel.
-// Chunks cover disjoint net sets — workers write disjoint netVals
-// entries — and every net's sum still accumulates left-to-right in the
-// same fixed order as the serial kernel, so results are bit-identical
-// for any worker count. Cross-level reads are safe because an op in
-// phase L only reads nets that completed in phases < L. The record pass
-// runs once per step and is always serial.
-
-// fusedParallelMinOps is the trial-live op count above which the fused
-// engine shards levels across workers. Below it the per-level
-// synchronisation costs more than the arithmetic it hides. Overridable
-// per simulator in tests (Simulator.fusedMinOps).
-const fusedParallelMinOps = 8192
-
-// fusedChunkMinOps is the minimum op count a parallel chunk must carry:
-// rebuildChunks lowers a level's effective worker count until every chunk
-// clears it, so sharding a tiny level can never cost more in wake-up and
-// wait latency than the arithmetic it hides. Overridable per simulator in
-// tests (Simulator.chunkMinOps).
-const fusedChunkMinOps = 1024
 
 // fusedOp is one materialised driving op: 24 bytes, only the fields the
 // hot loops touch. Meaning varies by segment opcode: for opConst, gain
@@ -113,12 +85,10 @@ type fusedStream struct {
 }
 
 // emit appends op i, merging it into the last segment when that segment
-// has the same opcode and store/add role and its index is at least
-// minSeg (chunk boundaries pass len(segs) to prevent merging across
-// workers).
-func (st *fusedStream) emit(p *program, i int32, store bool, minSeg int) {
+// has the same opcode and store/add role.
+func (st *fusedStream) emit(p *program, i int32, store bool) {
 	kind := p.kind[i]
-	if n := len(st.segs); n > minSeg && st.segs[n-1].op == kind && st.segs[n-1].store == store {
+	if n := len(st.segs); n > 0 && st.segs[n-1].op == kind && st.segs[n-1].store == store {
 		st.segs[n-1].end++
 	} else {
 		st.segs = append(st.segs, fusedSeg{
@@ -150,12 +120,12 @@ func (st *fusedStream) emitPhaseMajor(p *program, lo, hi int, netLevel []int32, 
 	for _, phase := range byPhase {
 		for _, i := range phase {
 			if p.first[i] {
-				st.emit(p, i, true, 0)
+				st.emit(p, i, true)
 			}
 		}
 		for _, i := range phase {
 			if !p.first[i] {
-				st.emit(p, i, false, 0)
+				st.emit(p, i, false)
 			}
 		}
 	}
@@ -182,76 +152,20 @@ func (st *fusedStream) syncFold(p *program) {
 	}
 }
 
-func (st *fusedStream) reset() {
-	st.ops = st.ops[:0]
-	st.aux = st.aux[:0]
-	st.in1 = st.in1[:0]
-	st.ids = st.ids[:0]
-	st.segs = st.segs[:0]
-}
-
-// fusedChunk is one worker's share of a level: a contiguous run of
-// segments in the parallel stream. Chunks of the same level cover
-// disjoint net sets, so workers never write the same netVals entry.
-type fusedChunk struct{ segLo, segHi int32 }
-
-// fusedLevel is one topological phase of the parallel schedule.
-type fusedLevel struct {
-	lo, hi int32 // netOrder range of nets whose value completes this phase
-	chunks []fusedChunk
-	// fns holds one prebuilt dispatch closure per chunk beyond the first
-	// (chunk 0 always runs inline on the calling goroutine). The closures
-	// read their call parameters from the fusedProg's call* fields, so an
-	// eval spawns goroutines on stored func values and allocates nothing.
-	// laneFns is the lane-batched counterpart.
-	fns     []func()
-	laneFns []func()
-}
-
-// fusedProg is the segmented / level-scheduled view of a program.
-// Topology is fixed for the life of a Simulator; the folded constants
-// copied into the streams are refreshed lazily whenever refold bumps the
-// program's generation (trim changes), so ReloadBlockParams keeps
-// working unchanged.
+// fusedProg is the segmented view of a program. Topology is fixed for
+// the life of a Simulator; the folded constants copied into the streams
+// are refreshed lazily whenever refold bumps the program's generation
+// (trim changes), so ReloadBlockParams keeps working unchanged.
 type fusedProg struct {
 	p *program
 
 	// serial is the trial-live region in phase-major store/add order: the
-	// trial stages' serial kernel and the first leg of every record pass.
-	// rec is the record-only region, laid out the same way: the record
-	// pass's second leg.
+	// trial stages' kernel and the first leg of every record pass. rec is
+	// the record-only region, laid out the same way: the record pass's
+	// second leg.
 	serial    fusedStream
 	rec       fusedStream
 	syncedGen uint64
-
-	// Level schedule of the trial-live region: driven nets grouped by
-	// level (ascending net id within a level), each with its driver ops
-	// in stream order. Feeds the per-chunk materialisation below.
-	netOrder []int32
-	opStart  []int32 // len(netOrder)+1 prefix sums into opIdx
-	opIdx    []int32
-
-	// Parallel kernel: a second live stream laid out per (level, worker
-	// chunk). Rebuilt by SetWorkers.
-	par     fusedStream
-	levels  []fusedLevel
-	workers int // worker count the chunks were last built for
-	// multiChunk reports whether any level actually split: when the
-	// worker bound or the per-chunk op floor collapses every level to one
-	// chunk, eval stays on the serial stream and skips the per-level
-	// dispatch loop entirely.
-	multiChunk bool
-
-	// Pooled dispatch state for the parallel kernel. evalParallel
-	// publishes the per-call parameters here before spawning the stored
-	// chunk closures; the `go` statement orders the writes before the
-	// goroutine body, and wg.Wait orders the reads before the next eval
-	// can overwrite them.
-	wg        sync.WaitGroup
-	callSim   *Simulator
-	callT     float64
-	callState []float64
-	callTs    []float64 // lane kernel: per-lane evaluation times
 
 	// Lane fold bookkeeping: the streams' lane fields were last synced
 	// from this laneProg generation at this width.
@@ -259,9 +173,9 @@ type fusedProg struct {
 	laneB         int
 }
 
-// buildFused computes the level schedule and the materialised streams
-// for p's driving ops. nNets is the netlist's net count.
-func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
+// buildFused computes the net levels and the materialised streams for p's
+// driving ops. nNets is the netlist's net count.
+func (p *program) buildFused(nNets int) *fusedProg {
 	f := &fusedProg{p: p}
 
 	// Topological levels. The driving region is ordered sources-first
@@ -270,7 +184,6 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 	// single pass sees every driver of a net before any reader of it:
 	// netLevel is final by the time it is consumed.
 	netLevel := make([]int32, nNets)
-	drivers := make([]int32, nNets) // per-net live driver count
 	maxLevel := int32(0)
 	for i := 0; i < p.nDrive; i++ {
 		var lv int32
@@ -283,11 +196,7 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 				lv = l2
 			}
 		}
-		out := p.out[i]
-		if i < p.nLive {
-			drivers[out]++
-		}
-		if netLevel[out] < lv {
+		if out := p.out[i]; netLevel[out] < lv {
 			netLevel[out] = lv
 		}
 		if lv > maxLevel {
@@ -295,213 +204,36 @@ func (p *program) buildFused(nNets, workers, minChunkOps int) *fusedProg {
 		}
 	}
 
-	// Group live nets by level, ascending net id within each level (the
-	// scan order), and record each level's [lo,hi) range of netOrder.
-	nDriven := 0
-	for n := 0; n < nNets; n++ {
-		if drivers[n] > 0 {
-			nDriven++
-		}
-	}
-	f.netOrder = make([]int32, 0, nDriven)
-	slot := make([]int32, nNets) // net id -> index in netOrder
-	f.levels = make([]fusedLevel, 0, maxLevel+1)
-	for lv := int32(0); lv <= maxLevel; lv++ {
-		lo := int32(len(f.netOrder))
-		for n := 0; n < nNets; n++ {
-			if drivers[n] > 0 && netLevel[n] == lv {
-				slot[n] = int32(len(f.netOrder))
-				f.netOrder = append(f.netOrder, int32(n))
-			}
-		}
-		f.levels = append(f.levels, fusedLevel{lo: lo, hi: int32(len(f.netOrder))})
-	}
-
-	// Per-net driver lists, stream order preserved by the scan order.
-	f.opStart = make([]int32, len(f.netOrder)+1)
-	for _, n := range f.netOrder {
-		f.opStart[slot[n]+1] = drivers[n]
-	}
-	for i := 1; i < len(f.opStart); i++ {
-		f.opStart[i] += f.opStart[i-1]
-	}
-	f.opIdx = make([]int32, p.nLive)
-	cursor := make([]int32, len(f.netOrder))
-	copy(cursor, f.opStart[:len(f.netOrder)])
-	for i := 0; i < p.nLive; i++ {
-		si := slot[p.out[i]]
-		f.opIdx[cursor[si]] = int32(i)
-		cursor[si]++
-	}
-
 	f.serial.emitPhaseMajor(p, 0, p.nLive, netLevel, int(maxLevel)+1)
 	f.rec.emitPhaseMajor(p, p.nLive, p.nDrive, netLevel, int(maxLevel)+1)
-
-	f.rebuildChunks(workers, minChunkOps) // also syncs folded constants
-	return f
-}
-
-// rebuildChunks partitions each level's nets into up to `workers`
-// contiguous chunks balanced by driver-op count, and materialises each
-// chunk's ops as branch-free segments: one store per net (grouped by
-// opcode — stores hit distinct nets, so their relative order is free),
-// then the remaining drivers in global stream order, which preserves
-// every net's accumulation order. minChunkOps floors the op count per
-// chunk: a level too small to give every worker that many ops is split
-// across fewer workers (down to one, i.e. no split at all). Chunk
-// boundaries change with the worker bound and the floor; per-net
-// summation order does not, so results stay bit-identical for any
-// requested worker count.
-func (f *fusedProg) rebuildChunks(workers, minChunkOps int) {
-	if workers < 1 {
-		workers = 1
-	}
-	f.workers = workers
-	f.par.reset()
-	f.multiChunk = false
-	f.laneB = 0 // the par stream's lane constants must be re-synced
-	var stores, adds []int32
-	for li := range f.levels {
-		lv := &f.levels[li]
-		lv.chunks = lv.chunks[:0]
-		lv.fns = lv.fns[:0]
-		lv.laneFns = lv.laneFns[:0]
-		nets := lv.hi - lv.lo
-		if nets <= 0 {
-			continue
-		}
-		w := int32(workers)
-		if w > nets {
-			w = nets
-		}
-		totalOps := f.opStart[lv.hi] - f.opStart[lv.lo]
-		if minChunkOps > 0 {
-			if maxW := totalOps / int32(minChunkOps); w > maxW {
-				w = maxW
-				if w < 1 {
-					w = 1
-				}
-			}
-		}
-		target := (totalOps + w - 1) / w
-		if target < 1 {
-			target = 1
-		}
-		for lo := lv.lo; lo < lv.hi; {
-			hi := lo
-			var ops int32
-			for hi < lv.hi && (ops < target || hi == lo) {
-				ops += f.opStart[hi+1] - f.opStart[hi]
-				hi++
-			}
-			// Never emit more chunks than workers: fold the tail into the
-			// last chunk.
-			if int32(len(lv.chunks)) == w-1 {
-				hi = lv.hi
-			}
-			stores, adds = stores[:0], adds[:0]
-			for ni := lo; ni < hi; ni++ {
-				list := f.opIdx[f.opStart[ni]:f.opStart[ni+1]]
-				stores = append(stores, list[0]) // stream-first driver
-				adds = append(adds, list[1:]...)
-			}
-			sort.Slice(stores, func(a, b int) bool {
-				sa, sb := stores[a], stores[b]
-				if ka, kb := f.p.kind[sa], f.p.kind[sb]; ka != kb {
-					return ka < kb
-				}
-				return sa < sb
-			})
-			sort.Slice(adds, func(a, b int) bool { return adds[a] < adds[b] })
-			segLo := int32(len(f.par.segs))
-			for _, i := range stores {
-				f.par.emit(f.p, i, true, int(segLo))
-			}
-			for _, i := range adds {
-				f.par.emit(f.p, i, false, int(segLo))
-			}
-			lv.chunks = append(lv.chunks, fusedChunk{segLo: segLo, segHi: int32(len(f.par.segs))})
-			lo = hi
-		}
-		if len(lv.chunks) > 1 {
-			f.multiChunk = true
-			for _, c := range lv.chunks[1:] {
-				c := c
-				lv.fns = append(lv.fns, func() {
-					defer f.wg.Done()
-					f.runSegs(f.callSim, f.callT, f.callState, &f.par, f.par.segs[c.segLo:c.segHi])
-				})
-				lv.laneFns = append(lv.laneFns, func() {
-					defer f.wg.Done()
-					f.runSegsLanes(f.callSim, f.callTs, f.callState, &f.par, f.par.segs[c.segLo:c.segHi], f.laneB)
-				})
-			}
-		}
-	}
 	f.syncFold()
+	return f
 }
 
 // syncFold refreshes every stream's folded constants from the program.
 func (f *fusedProg) syncFold() {
 	f.serial.syncFold(f.p)
 	f.rec.syncFold(f.p)
-	f.par.syncFold(f.p)
 	f.syncedGen = f.p.foldGen
 }
 
-// eval is a trial-stage evaluation: it computes the trial-live nets only,
-// dispatching between the serial segmented kernel and the level-parallel
-// kernel.
+// eval is a trial-stage evaluation: it computes the trial-live nets only.
 func (f *fusedProg) eval(s *Simulator, t float64, state []float64) {
 	if f.syncedGen != f.p.foldGen {
 		f.syncFold()
 	}
-	if s.workers > 1 && f.p.nLive >= s.fusedMinOps && f.multiChunk {
-		f.evalParallel(s, t, state)
-		return
-	}
-	f.runSegs(s, t, state, &f.serial, f.serial.segs)
+	f.runSegs(s, t, state, &f.serial)
 }
 
-// evalParallel runs one phase per topological level, sharding the level's
-// nets across workers; every worker runs the same branch-free segment
-// loops as the serial kernel, just over its own chunk of the stream. The
-// per-chunk closures are prebuilt by rebuildChunks and read their call
-// parameters from the call* fields, so the only per-eval work here is the
-// goroutine spawns themselves — no allocation at any worker count.
-func (f *fusedProg) evalParallel(s *Simulator, t float64, state []float64) {
-	f.callSim, f.callT, f.callState = s, t, state
-	for li := range f.levels {
-		lv := &f.levels[li]
-		chunks := lv.chunks
-		if len(chunks) == 0 {
-			continue
-		}
-		if len(chunks) > 1 {
-			f.wg.Add(len(chunks) - 1)
-			for _, fn := range lv.fns {
-				go fn()
-			}
-		}
-		c := chunks[0]
-		f.runSegs(s, t, state, &f.par, f.par.segs[c.segLo:c.segHi])
-		if len(chunks) > 1 {
-			f.wg.Wait()
-		}
-	}
-}
-
-// runSegs executes a run of segments over a materialised stream: one
-// branch-free tight loop per homogeneous run, first-driver stores in
-// place of a netVals clear. It is the shared inner kernel: the serial
-// path runs the whole phase-major stream; each parallel worker runs its
-// chunk's segments.
-func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fusedStream, segs []fusedSeg) {
+// runSegs executes a materialised stream's segments: one branch-free
+// tight loop per homogeneous run, first-driver stores in place of a
+// netVals clear.
+func (f *fusedProg) runSegs(s *Simulator, t float64, state []float64, all *fusedStream) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.netVals
-	for _, sg := range segs {
+	for _, sg := range all.segs {
 		ops := all.ops[sg.start:sg.end]
 		switch {
 		case sg.op == opConst && sg.store:
@@ -849,9 +581,6 @@ func (f *fusedProg) syncLanes(s *Simulator) int {
 	if f.syncedLaneGen != lp.foldGen || f.laneB != lp.lanes {
 		f.serial.syncFoldLanes(lp)
 		f.rec.syncFoldLanes(lp)
-		if f.multiChunk { // the lane kernel never reads an unsplit par stream
-			f.par.syncFoldLanes(lp)
-		}
 		f.syncedLaneGen = lp.foldGen
 		f.laneB = lp.lanes
 	}
@@ -860,45 +589,13 @@ func (f *fusedProg) syncLanes(s *Simulator) int {
 
 // evalLanes is the lane-batched trial evaluation: the fused segment walk
 // over the trial-live region with an inner loop streaming B lanes per op
-// record. Dispatches to the level-parallel kernel on the same schedule as
-// the scalar eval, with the op threshold scaled by the lane width (lanes
-// multiply the work per chunk, not the synchronisation cost).
+// record.
 func (f *fusedProg) evalLanes(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
-	if s.workers > 1 && f.p.nLive*B >= s.fusedMinOps && f.multiChunk {
-		f.evalLanesParallel(s, ts, state)
-		return
-	}
-	f.runSegsLanes(s, ts, state, &f.serial, f.serial.segs, B)
+	f.runSegsLanes(s, ts, state, &f.serial, B)
 }
 
-// evalLanesParallel is evalParallel for the lane kernel: the same
-// prebuilt-closure dispatch, with each chunk streaming all B lanes of
-// its nets. Chunks still cover disjoint net sets, so workers write
-// disjoint laneNets regions for every lane.
-func (f *fusedProg) evalLanesParallel(s *Simulator, ts, state []float64) {
-	f.callSim, f.callTs, f.callState = s, ts, state
-	for li := range f.levels {
-		lv := &f.levels[li]
-		chunks := lv.chunks
-		if len(chunks) == 0 {
-			continue
-		}
-		if len(chunks) > 1 {
-			f.wg.Add(len(chunks) - 1)
-			for _, fn := range lv.laneFns {
-				go fn()
-			}
-		}
-		c := chunks[0]
-		f.runSegsLanes(s, ts, state, &f.par, f.par.segs[c.segLo:c.segHi], f.laneB)
-		if len(chunks) > 1 {
-			f.wg.Wait()
-		}
-	}
-}
-
-// runSegsLanes executes a run of segments over all B lanes: the scalar
+// runSegsLanes executes a stream's segments over all B lanes: the scalar
 // runSegs loops with an inner lane dimension. Per-lane constants come
 // from the stream's laneG; offsets are physical and shared; ops marked
 // uniform in laneUni broadcast one gain load
@@ -906,12 +603,12 @@ func (f *fusedProg) evalLanesParallel(s *Simulator, ts, state []float64) {
 // value is the same, so lanes stay bit-identical either way. Every
 // lane's per-net accumulation order is the scalar stream order, so each
 // lane is bit-identical to a scalar run with that lane's parameters.
-func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedStream, segs []fusedSeg, B int) {
+func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedStream, B int) {
 	p := f.p
 	fs := s.nl.cfg.FullScale
 	sat := s.nl.cfg.SatLevel
 	nv := s.laneNets
-	for _, sg := range segs {
+	for _, sg := range all.segs {
 		ops := all.ops[sg.start:sg.end]
 		lg := all.laneG[int(sg.start)*B : int(sg.end)*B]
 		un := all.laneUni[sg.start:sg.end]
@@ -1136,8 +833,7 @@ func (f *fusedProg) runSegsLanes(s *Simulator, ts, state []float64, all *fusedSt
 // with an inner lane dimension. The live stream, then the record-only
 // stream, run with per-lane peak tracking and overflow latching folded
 // into each loop; an interpreted tail then latches the silent ops, which
-// read only completed nets. Always serial: it runs once per lockstep
-// tick, the same budget the scalar engine gives its record pass.
+// read only completed nets.
 func (f *fusedProg) evalLanesRecord(s *Simulator, ts, state []float64) {
 	B := f.syncLanes(s)
 	f.runSegsLanesRecord(s, ts, state, &f.serial, B)

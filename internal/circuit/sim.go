@@ -43,19 +43,11 @@ type Simulator struct {
 	effOff  []float64
 	effGain []float64
 	// prog is the op-stream lowering of the netlist (see program.go);
-	// fused is its segmented / level-scheduled kernel (see fused.go).
+	// fused is its segmented kernel (see fused.go).
 	// engine selects between the fused kernel and the interpreter.
 	prog   *program
 	fused  *fusedProg
 	engine Engine
-	// workers bounds the fused engine's level-parallel sharding;
-	// fusedMinOps is the trial-live op count below which it stays
-	// serial, and chunkMinOps the per-chunk op floor that clamps how
-	// finely a single level may shard (fields so tests can force the
-	// parallel path on small programs).
-	workers     int
-	fusedMinOps int
-	chunkMinOps int
 	// valsDirty marks netVals stale relative to (time, state): stepH can
 	// otherwise reuse the post-step evaluation as the next step's k1 stage.
 	valsDirty bool
@@ -117,10 +109,7 @@ func NewSimulator(nl *Netlist, dt float64) (*Simulator, error) {
 		return nil, err
 	}
 	s.prog = s.lower()
-	s.workers = autoWorkers()
-	s.fusedMinOps = fusedParallelMinOps
-	s.chunkMinOps = fusedChunkMinOps
-	s.fused = s.prog.buildFused(nl.nets, s.workers, s.chunkMinOps)
+	s.fused = s.prog.buildFused(nl.nets)
 	s.ReloadBlockParams()
 	if dt <= 0 {
 		dt = s.autoStep()

@@ -124,8 +124,8 @@ type engineSelector interface {
 }
 
 // SelectEngine switches the simulation kernel of the chip behind this
-// driver ("auto", "interpreter", "fused"; workers <= 0 keeps
-// the current bound). Engines are bit-identical, so this never changes a
+// driver ("auto", "interpreter", "fused"; workers is ignored, since
+// every engine evaluates serially). Engines are bit-identical, so this never changes a
 // solution — only how fast the simulated physics runs. It is a side-band
 // knob reachable only over the in-memory loopback; a driver bound to any
 // other transport reports ErrEngineUnavailable.

@@ -17,7 +17,10 @@ import (
 //	b <row> <value>            (repeated; unset entries are zero)
 //
 // Indices are zero-based. The format is a minimal coordinate ("triplet")
-// exchange format in the spirit of Matrix Market.
+// exchange format in the spirit of Matrix Market. An order larger than the
+// number of 'a' records is rejected before anything is sized from it: such
+// a matrix has an empty row, so it is singular. Allocation stays O(input
+// bytes).
 func ReadSystem(r io.Reader) (*CSR, Vector, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -72,6 +75,9 @@ func ReadSystem(r io.Reader) (*CSR, Vector, error) {
 	}
 	if n < 0 {
 		return nil, nil, fmt.Errorf("la: system file missing 'n' record")
+	}
+	if n > len(entries) {
+		return nil, nil, fmt.Errorf("la: %d matrix entries cannot make a nonsingular order-%d system", len(entries), n)
 	}
 	m, err := NewCSR(n, entries)
 	if err != nil {

@@ -14,6 +14,12 @@ import (
 
 // ReadMatrixMarket parses a sparse square matrix in Matrix Market
 // coordinate format. Symmetric files are expanded to full storage.
+//
+// The input is untrusted, so nothing is sized from the size line alone:
+// an order the promised entries cannot make nonsingular (more rows than
+// entries, or than twice the entries in a symmetric file) is rejected,
+// and entries are appended as they are read. Allocation stays O(input
+// bytes).
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -55,7 +61,19 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows <= 0 || rows != cols {
 		return nil, fmt.Errorf("la: need a square matrix, got %dx%d", rows, cols)
 	}
-	entries := make([]COOEntry, 0, nnz*2)
+	if nnz < 0 {
+		return nil, fmt.Errorf("la: negative entry count %d", nnz)
+	}
+	// Every row of a nonsingular matrix holds an entry; a symmetric file
+	// stores one triangle, so each entry may cover two rows.
+	minNNZ := rows
+	if symmetric {
+		minNNZ = (rows + 1) / 2
+	}
+	if nnz < minNNZ {
+		return nil, fmt.Errorf("la: %d entries cannot make a nonsingular order-%d matrix", nnz, rows)
+	}
+	var entries []COOEntry
 	count := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

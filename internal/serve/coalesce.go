@@ -332,6 +332,10 @@ func (s *Server) runSolveCoalesced(ctx context.Context, backend string, fp uint6
 		return nil, s.solveErr(ctx, r.err)
 	}
 	out := r.out
+	residual := la.RelativeResidual(a, out.U, b)
+	if err := checkFinite(out.U, residual); err != nil {
+		return nil, s.solveErr(ctx, err)
+	}
 	s.metrics.SolveOK(backend, out.AnalogTime, out.Runs, out.Rescales, out.Overflows, out.Refinements)
 	if r.lanes > 1 {
 		s.metrics.CoalescedRequest()
@@ -340,7 +344,7 @@ func (s *Server) runSolveCoalesced(ctx context.Context, backend string, fp uint6
 	resp.U = []float64(out.U)
 	resp.N = a.Dim()
 	resp.Backend = backend
-	resp.Residual = la.RelativeResidual(a, out.U, b)
+	resp.Residual = residual
 	resp.ElapsedMs = float64(elapsed.Microseconds()) / 1000
 	resp.ServedBy = s.cfg.NodeName
 	resp.Coalesced = r.lanes > 1

@@ -276,6 +276,11 @@ func (s *Server) solveBlock(ctx context.Context, req *BlockSolveRequest) (*Block
 	if err != nil {
 		return nil, s.solveErr(ctx, fmt.Errorf("block solve: %w", err))
 	}
+	for i := range us {
+		if err := checkFinite(us[i], gains[i]); err != nil {
+			return nil, s.solveErr(ctx, fmt.Errorf("block item %d: %w", i, err))
+		}
+	}
 	resp := &BlockSolveResponse{
 		Results:       make([]BlockWireResult, len(us)),
 		AnalogSeconds: pc.Acc.AnalogTime() - timeBase,

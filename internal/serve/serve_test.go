@@ -152,6 +152,66 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestServeHostileMagnitudes sends systems at the edge of float64: a
+// right-hand side at ±1e308, and A and b both scaled by 1e308. Each must
+// come back in bounded time as a typed 4xx, or as a finite answer that
+// matches Eq. 2's; never as a 500 from encoding a non-finite answer.
+func TestServeHostileMagnitudes(t *testing.T) {
+	_, client, done := newTestServer(t, Config{})
+	defer done()
+	huge := func(backend string) SolveRequest {
+		req := eq2Request(backend)
+		req.B = []float64{1e308, -1e308}
+		return req
+	}
+	scaled := func(backend string) SolveRequest {
+		req := eq2Request(backend)
+		for i := range req.A {
+			req.A[i].Val *= 1e308
+		}
+		for i := range req.B {
+			req.B[i] *= 1e308
+		}
+		return req
+	}
+	want := []float64{6.0 / 11, 3.5 / 11} // Eq. 2's exact answer
+	for _, backend := range []string{cli.BackendAnalog, cli.BackendAnalogRefined, "cg"} {
+		for _, c := range []struct {
+			name string
+			req  SolveRequest
+		}{{"b=±1e308", huge(backend)}, {"A,b×1e308", scaled(backend)}} {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			start := time.Now()
+			resp, err := client.Solve(ctx, c.req)
+			elapsed := time.Since(start)
+			cancel()
+			var re *RemoteError
+			switch {
+			case err == nil:
+				if d := la.Sub2(resp.U, want).NormInf(); !(d <= 1e-2) { // NaN fails too
+					t.Errorf("%s %s: 200 with u=%v, want a 4xx or u≈%v", backend, c.name, resp.U, want)
+				}
+			case !errors.As(err, &re) || re.StatusCode/100 != 4 || re.Code == CodeInternal:
+				t.Errorf("%s %s: want a typed 4xx, got %v", backend, c.name, err)
+			case re.Code == CodeSolveFailed && backend == cli.BackendAnalog && !strings.Contains(re.Message, "overflow"):
+				t.Errorf("%s %s: solve_failed message %q does not name the overflow", backend, c.name, re.Message)
+			}
+			if elapsed > time.Second {
+				t.Errorf("%s %s: took %v, want < 1s", backend, c.name, elapsed)
+			}
+		}
+	}
+	// The batch path shares the check.
+	req := huge(cli.BackendAnalog)
+	_, err := client.SolveBatch(context.Background(), BatchSolveRequest{
+		Backend: req.Backend, N: req.N, A: req.A, RHS: [][]float64{req.B, {0.5, 0.3}},
+	})
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != CodeSolveFailed {
+		t.Errorf("batch with a ±1e308 item: want solve_failed, got %v", err)
+	}
+}
+
 // TestServeTooLargeFansOut sends an analog request bigger than the pool's
 // largest size class (n=64 vs MaxDim 32). Before the decomposition path
 // this bounced with 413 too_large; now the server partitions it and fans

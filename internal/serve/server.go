@@ -624,6 +624,10 @@ func (s *Server) runSolve(ctx context.Context, req *SolveRequest) (*SolveRespons
 	if err != nil {
 		return nil, s.solveErr(ctx, err)
 	}
+	residual := la.RelativeResidual(a, out.U, b)
+	if err := checkFinite(out.U, residual); err != nil {
+		return nil, s.solveErr(ctx, err)
+	}
 	s.metrics.SolveOK(backendRun, out.AnalogTime, out.Runs, out.Rescales, out.Overflows, out.Refinements)
 	if ds := out.Decompose; ds != nil {
 		s.metrics.DecomposedOK(ds.Blocks, ds.Sweeps, ds.Configs, ds.ReuseHits)
@@ -633,7 +637,7 @@ func (s *Server) runSolve(ctx context.Context, req *SolveRequest) (*SolveRespons
 	resp.U = []float64(out.U)
 	resp.N = a.Dim()
 	resp.Backend = backendRun
-	resp.Residual = la.RelativeResidual(a, out.U, b)
+	resp.Residual = residual
 	resp.ElapsedMs = float64(elapsed.Microseconds()) / 1000
 	resp.ServedBy = s.cfg.NodeName
 	if ds := out.Decompose; ds != nil {
@@ -767,6 +771,12 @@ func (s *Server) runSolveBatch(ctx context.Context, req *BatchSolveRequest) (*Ba
 		ServedBy:  s.cfg.NodeName,
 	}
 	for k, out := range outs {
+		resp.Items[k].Residual = la.RelativeResidual(a, out.U, rhs[k])
+		if err := checkFinite(out.U, resp.Items[k].Residual); err != nil {
+			return nil, s.solveErr(ctx, fmt.Errorf("item %d: %w", k, err))
+		}
+	}
+	for k, out := range outs {
 		s.metrics.SolveOK(req.Backend, out.AnalogTime, out.Runs, out.Rescales, out.Overflows, out.Refinements)
 		// Wave provenance: the widest lane group any item rode, and
 		// whether at least two right-hand sides shared one (PR 9 stamped
@@ -779,7 +789,7 @@ func (s *Server) runSolveBatch(ctx context.Context, req *BatchSolveRequest) (*Ba
 		}
 		item := BatchItem{
 			U:        []float64(out.U),
-			Residual: la.RelativeResidual(a, out.U, rhs[k]),
+			Residual: resp.Items[k].Residual,
 		}
 		if out.Analog {
 			item.Analog = &AnalogStats{
@@ -872,6 +882,17 @@ func (s *Server) handleOperatorList(w http.ResponseWriter, _ *http.Request) {
 		MaxOps:    s.registry.maxOps,
 		MaxBytes:  s.registry.maxBytes,
 	})
+}
+
+// checkFinite reports an answer that float64 cannot hold as a solve
+// failure: a NaN or ±Inf entry in u, or in a scalar derived from it (a
+// residual, a gain). JSON cannot encode such values, so one that got
+// through would turn a hostile input into an encoder 500 after the solve.
+func checkFinite(u la.Vector, derived ...float64) error {
+	if u.IsFinite() && la.Vector(derived).IsFinite() {
+		return nil
+	}
+	return errors.New("answer overflowed float64 (NaN or ±Inf); rescale A and b toward unit magnitude")
 }
 
 func (s *Server) solveErr(ctx context.Context, err error) *APIError {

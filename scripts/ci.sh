@@ -86,14 +86,14 @@ go build -o "$BIN/alad" ./cmd/alad
 go build -o "$BIN/alasolve" ./cmd/alasolve
 go run ./scripts/smoke -alad "$BIN/alad" -alasolve "$BIN/alasolve"
 
-# Engine equivalence: the fused kernel's parallel path is schedule-dependent
-# by construction (per-level worker chunks) but must stay bit-identical to
-# serial; -count=2 under -race shakes interleavings. The fuzz seed corpora
-# replay the checked-in differential cases through the interpreter and the
-# serial, parallel and lane fused paths, and through lane widths 1/2/7/16
-# (16 is the AVX2 kernel path on amd64), and
-# the core lane-batch differentials hold wave answers equal to scalar
-# solves end-to-end.
+# Engine equivalence: the serial fused kernel, scalar and lane forms,
+# must stay bit-identical to the interpreter. -count=2 under -race runs
+# every differential twice with the race detector's instrumented memory
+# accesses, so state leaking between runs or simulators shows up. The fuzz
+# seed corpora replay the checked-in differential cases through the
+# interpreter and the fused scalar and lane kernels, at lane widths
+# 1/2/7/16 (16 is the AVX2 kernel path on amd64), and the core lane-batch
+# differentials hold wave answers equal to scalar solves end-to-end.
 go test -race -count=2 -run 'Fused|Lane|EngineEquivalence|Fuzz' ./internal/circuit
 go test -race -count=2 -run 'Lane|SolveBatch' ./internal/core
 
@@ -106,3 +106,11 @@ go test -count=2 -run 'MatchesReference|SettlesIdentically|Cone|Equivalence' ./i
 go test -count=2 ./internal/chip
 go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 10s ./internal/circuit
 go test -run '^$' -fuzz '^FuzzLaneEquivalence$' -fuzztime 10s ./internal/circuit
+
+# Untrusted matrix decoders: /v1/solve's matrix_market and system fields
+# reach la.ReadMatrixMarket and la.ReadSystem. Both fuzzers explore past
+# their seed corpora (negative entry counts, header orders no entries
+# back) for 10 s each, failing on any panic or on allocation beyond
+# O(input bytes).
+go test -run '^$' -fuzz '^FuzzReadMatrixMarket$' -fuzztime 10s ./internal/la
+go test -run '^$' -fuzz '^FuzzReadSystem$' -fuzztime 10s ./internal/la
